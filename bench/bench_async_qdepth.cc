@@ -44,13 +44,12 @@ DepthResult MeasureDepth(int depth) {
   });
   SimDevice log_dev(1 << 16, kPage,
                     std::make_unique<HddModel>(HddParams{.page_bytes = kPage}));
-  DiskManager disk(&disks);
+  DiskManager disk(&disks, {.queue_depth = depth});
   LogManager log(&log_dev);
-  AsyncIoEngine engine(&disks, {.queue_depth = depth});
   BufferPool::Options bopt;
   bopt.num_frames = kFrames;
   bopt.page_bytes = kPage;
-  BufferPool pool(bopt, &disk, &log, nullptr, &engine);
+  BufferPool pool(bopt, &disk, &log, nullptr);
 
   DepthResult r;
   r.depth = depth;
@@ -91,7 +90,7 @@ DepthResult MeasureDepth(int depth) {
     r.drain = pool.FlushAllDirty(ctx, /*for_checkpoint=*/false) - ctx.now;
   }
 
-  r.stats = engine.stats();
+  r.stats = disk.io_engine().stats();
   return r;
 }
 

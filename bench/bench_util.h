@@ -173,37 +173,24 @@ inline void JsonAdd(std::string& j, const char* key, int64_t val) {
   JsonAdd(j, key, std::to_string(val), false);
 }
 
-// Adds the shard-latch contention counters where the stats struct has them.
-// A template so the `if constexpr` branch is genuinely discarded against a
-// BufferPoolStats that predates the counters — the same bench source then
-// compiles in a pre-change checkout for A/B latch-wait comparisons.
-template <typename Stats>
-void AddPoolLatchFields(std::string& j, const Stats& bp) {
-  if constexpr (requires { bp.pool_latch_wait_ns; }) {
-    JsonAdd(j, "pool_latch_waits", bp.pool_latch_waits);
-    JsonAdd(j, "pool_latch_wait_ms",
-            static_cast<double>(bp.pool_latch_wait_ns) / 1e6);
-  }
+// Adds the shard-latch contention counters.
+inline void AddPoolLatchFields(std::string& j, const BufferPoolStats& bp) {
+  JsonAdd(j, "pool_latch_waits", bp.pool_latch_waits);
+  JsonAdd(j, "pool_latch_wait_ms",
+          static_cast<double>(bp.pool_latch_wait_ns) / 1e6);
 }
 
-// Adds the SSD self-healing counters where the stats struct has them (same
-// A/B-checkout trick as AddPoolLatchFields: the branch is discarded against
-// an SsdManagerStats that predates per-partition degradation).
-template <typename Stats>
-void AddSsdHealthFields(std::string& j, const Stats& ssd) {
-  if constexpr (requires { ssd.partitions_degraded; }) {
-    JsonAdd(j, "ssd_partitions_degraded", ssd.partitions_degraded);
-    JsonAdd(j, "ssd_partitions_recovered", ssd.partitions_recovered);
-    JsonAdd(j, "ssd_scrub_frames_verified", ssd.scrub_frames_verified);
-    JsonAdd(j, "ssd_scrub_frames_repaired", ssd.scrub_frames_repaired);
-    JsonAdd(j, "ssd_io_timeouts", ssd.io_timeouts);
-    JsonAdd(j, "ssd_hedged_reads", ssd.hedged_reads);
-  }
+// Adds the SSD self-healing counters.
+inline void AddSsdHealthFields(std::string& j, const SsdManagerStats& ssd) {
+  JsonAdd(j, "ssd_partitions_degraded", ssd.partitions_degraded);
+  JsonAdd(j, "ssd_partitions_recovered", ssd.partitions_recovered);
+  JsonAdd(j, "ssd_scrub_frames_verified", ssd.scrub_frames_verified);
+  JsonAdd(j, "ssd_scrub_frames_repaired", ssd.scrub_frames_repaired);
+  JsonAdd(j, "ssd_io_timeouts", ssd.io_timeouts);
+  JsonAdd(j, "ssd_hedged_reads", ssd.hedged_reads);
 }
 
-// Renders one driver run. Compiles against both the current BufferPoolStats
-// and older ones without the shard-latch counters, so the same bench source
-// can be dropped into a pre-change checkout for A/B comparisons.
+// Renders one driver run as a JSON object.
 inline std::string ResultJson(const DriverResult& r) {
   std::string j = "{";
   JsonAdd(j, "workload", r.workload, true);

@@ -59,10 +59,8 @@ void PageGuard::Release() {
 // ------------------------------------------------------------ BufferPool
 
 BufferPool::BufferPool(const Options& options, DiskManager* disk,
-                       LogManager* log, SsdManager* ssd,
-                       AsyncIoEngine* io_engine)
-    : options_(options), disk_(disk), log_(log), ssd_(ssd),
-      io_engine_(io_engine) {
+                       LogManager* log, SsdManager* ssd)
+    : options_(options), disk_(disk), log_(log), ssd_(ssd) {
   TURBOBP_CHECK(disk != nullptr);
   TURBOBP_CHECK(options.num_frames > 0);
   TURBOBP_CHECK(options.page_bytes == disk->page_bytes());
@@ -523,80 +521,45 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
   }
   if (lo >= hi) return;
 
-  if (io_engine_ != nullptr) {
-    // Deep-queue path: one engine request per pending page, installed from
-    // the completion callback. The engine coalesces contiguous runs into
-    // vectored device ops bounded by its stripe-sized batch limit, so a
-    // 64-page window becomes several independent ops that a deep queue runs
-    // on all spindles at once (the serial path's single huge request already
-    // parallelises inside the striped array; the win here is overlapping
-    // the SSD-split and gap-split fragments). Callbacks take shard latches,
-    // so no pool latch may be held here.
-    uint32_t submitted = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      const Pending& ent = pages[i];
-      if (ent.probe == SsdProbe::kNewerCopy) {
-        // Newer SSD copy (LC): never read this page from disk (see the
-        // serial path below). Extra SSD read; drop the placeholder on
-        // failure.
-        if (!read_via_ssd(ent)) AbortRead(ent.frame, ent.pid);
-        continue;
-      }
-      AsyncIoRequest req;
-      req.op = IoOp::kRead;
-      req.first_page = ent.pid;
-      req.num_pages = 1;
-      req.out = FrameSpan(ent.frame);
-      req.on_complete = [this, &ctx, ent](const IoCompletion& c) {
-        TURBOBP_CHECK_OK(c.result.status);
-        VerifyFrameChecksum(ent.frame, ent.pid);
-        ssd_->OnDiskRead(ent.pid, FrameSpan(ent.frame),
-                         AccessKind::kSequential, ctx);
-        FinishPrefetch(ent.frame, ent.pid, ctx);
-        StatCounters::Bump(counters_.prefetch_pages);
-      };
-      io_engine_->Submit(req, ctx);
-      ++submitted;
-    }
-    if (submitted > 0) {
-      StatCounters::Bump(counters_.disk_page_reads, submitted);
-      ctx.disk_reads += submitted;
-      ctx.Wait(io_engine_->Drain(ctx));
-    }
-    return;
-  }
-
-  // One contiguous disk read covering the remaining span (it may include
-  // pages that are already resident or cached on the SSD; those disk copies
-  // are discarded).
-  const PageId disk_first = pages[lo].pid;
-  const uint32_t disk_count =
-      static_cast<uint32_t>(pages[hi - 1].pid - disk_first + 1);
-  static thread_local std::vector<uint8_t> scratch;
-  scratch.resize(static_cast<size_t>(disk_count) * options_.page_bytes);
-  TURBOBP_CHECK_OK(disk_->ReadPages(disk_first, disk_count, scratch, ctx));
-  StatCounters::Bump(counters_.disk_page_reads, disk_count);
-
+  // One engine request per pending page, installed from the completion
+  // callback. The engine coalesces contiguous runs into vectored device ops
+  // bounded by its stripe-sized batch limit, so a 64-page window becomes
+  // several independent ops that a deep queue runs on all spindles at once,
+  // overlapping the SSD-split and gap-split fragments. Callbacks take shard
+  // latches, so no pool latch may be held here.
+  AsyncIoEngine& engine = disk_->io_engine();
+  uint32_t submitted = 0;
   for (size_t i = lo; i < hi; ++i) {
     const Pending& ent = pages[i];
     if (ent.probe == SsdProbe::kNewerCopy) {
-      // The SSD holds a newer version (LC): the disk copy just read is
-      // stale and must be replaced via an extra SSD read. If that read
-      // fails (lost page on a dying SSD), drop the placeholder — installing
-      // the stale disk copy would corrupt the database; a later FetchPage
-      // surfaces the hard error.
+      // The SSD holds a newer version (LC): the disk copy is stale, so the
+      // page is read from the SSD instead. If that read fails (lost page on
+      // a dying SSD), drop the placeholder — installing the stale disk copy
+      // would corrupt the database; a later FetchPage surfaces the hard
+      // error.
       if (!read_via_ssd(ent)) AbortRead(ent.frame, ent.pid);
       continue;
     }
-    std::memcpy(FrameData(ent.frame),
-                scratch.data() + static_cast<size_t>(ent.pid - disk_first) *
-                                     options_.page_bytes,
-                options_.page_bytes);
-    VerifyFrameChecksum(ent.frame, ent.pid);
-    ssd_->OnDiskRead(ent.pid, FrameSpan(ent.frame), AccessKind::kSequential,
-                     ctx);
-    FinishPrefetch(ent.frame, ent.pid, ctx);
-    StatCounters::Bump(counters_.prefetch_pages);
+    AsyncIoRequest req;
+    req.op = IoOp::kRead;
+    req.first_page = ent.pid;
+    req.num_pages = 1;
+    req.out = FrameSpan(ent.frame);
+    req.on_complete = [this, &ctx, ent](const IoCompletion& c) {
+      TURBOBP_CHECK_OK(c.result.status);
+      VerifyFrameChecksum(ent.frame, ent.pid);
+      ssd_->OnDiskRead(ent.pid, FrameSpan(ent.frame), AccessKind::kSequential,
+                       ctx);
+      FinishPrefetch(ent.frame, ent.pid, ctx);
+      StatCounters::Bump(counters_.prefetch_pages);
+    };
+    engine.Submit(req, ctx);
+    ++submitted;
+  }
+  if (submitted > 0) {
+    StatCounters::Bump(counters_.disk_page_reads, submitted);
+    ctx.disk_reads += submitted;
+    ctx.Wait(engine.Drain(ctx));
   }
 }
 
@@ -753,66 +716,7 @@ void BufferPool::EvictFrameLocked(Shard& sh, ShardLock& lock, int32_t frame,
 }
 
 Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
-  if (io_engine_ != nullptr) return FlushAllDirtyAsync(ctx, for_checkpoint);
-  Time last = ctx.now;
-  std::vector<uint8_t> snapshot(options_.page_bytes);
-  for (const auto& shp : shards_) {
-    Shard& sh = *shp;
-    for (int32_t i = sh.frame_begin; i < sh.frame_end; ++i) {
-      PageId pid;
-      AccessKind kind;
-      {
-        ShardLock lock = LockShard(sh);
-        Frame& f = frames_[i];
-        if (f.page_id == kInvalidPageId || !f.dirty ||
-            f.state.load(std::memory_order_relaxed) !=
-                FrameState::kResident) {
-          continue;  // empty, clean, or already being written elsewhere
-        }
-        pid = f.page_id;
-        kind = f.kind;
-        // kWriting: still readable and pinnable, but not evictable, not
-        // re-dirtyable (MarkDirty waits), and not double-flushable.
-        f.state.store(FrameState::kWriting, std::memory_order_relaxed);
-        ++sh.transient;
-        std::memcpy(snapshot.data(), FrameData(i), options_.page_bytes);
-      }
-      // WAL rule first, then the disk write — latch-free, from the snapshot.
-      PageView v{std::span<uint8_t>(snapshot)};
-      v.SealChecksum();
-      const Lsn lsn = v.header().lsn;
-      const Time log_done =
-          log_ != nullptr ? log_->FlushTo(lsn, ctx) : ctx.now;
-      IoContext write_ctx = ctx;
-      write_ctx.now = std::max(ctx.now, log_done);
-      const IoResult w = disk_->WritePage(
-          pid, std::span<const uint8_t>(snapshot), write_ctx);
-      TURBOBP_CHECK_OK(w.status);
-      last = std::max(last, w.time);
-      // One dirty frame flushed (checkpoint or shutdown), others may still
-      // be dirty in memory only. No pool latch is held.
-      TURBOBP_CRASH_POINT("bp/flush-page");
-      if (for_checkpoint) {
-        IoContext ck_ctx = ctx;
-        ssd_->OnCheckpointWrite(pid, std::span<const uint8_t>(snapshot), kind,
-                                lsn, ck_ctx);
-        StatCounters::Bump(counters_.checkpoint_writes);
-      }
-      {
-        ShardLock lock = LockShard(sh);
-        Frame& f = frames_[i];
-        f.dirty = false;
-        f.state.store(FrameState::kResident, std::memory_order_relaxed);
-        --sh.transient;
-        BumpEpochAndNotify(i);
-        NotifyAvail(sh);
-      }
-    }
-  }
-  return last;
-}
-
-Time BufferPool::FlushAllDirtyAsync(IoContext& ctx, bool for_checkpoint) {
+  AsyncIoEngine& engine = disk_->io_engine();
   Time last = ctx.now;
   struct Staged {
     PageId pid = kInvalidPageId;
@@ -823,8 +727,7 @@ Time BufferPool::FlushAllDirtyAsync(IoContext& ctx, bool for_checkpoint) {
   };
   // A window of ~2x the ring keeps the device saturated while bounding the
   // staging memory to a few dozen page images.
-  const size_t window =
-      static_cast<size_t>(io_engine_->queue_depth()) * 2;
+  const size_t window = static_cast<size_t>(engine.queue_depth()) * 2;
   std::vector<Staged> staged;
   staged.reserve(window);
 
@@ -856,9 +759,9 @@ Time BufferPool::FlushAllDirtyAsync(IoContext& ctx, bool for_checkpoint) {
       req.on_complete = [this, &ctx, for_checkpoint,
                          sp](const IoCompletion& c) {
         TURBOBP_CHECK_OK(c.result.status);
-        // One dirty frame flushed; same durability edge as the serial
-        // path's per-page write. No pool latch is held (the engine dropped
-        // its own latch before calling back).
+        // One dirty frame flushed, others may still be dirty in memory
+        // only. No pool latch is held (the engine dropped its own latch
+        // before calling back).
         TURBOBP_CRASH_POINT("bp/flush-page");
         if (for_checkpoint) {
           IoContext ck_ctx = ctx;
@@ -876,9 +779,9 @@ Time BufferPool::FlushAllDirtyAsync(IoContext& ctx, bool for_checkpoint) {
         BumpEpochAndNotify(sp->frame);
         NotifyAvail(sh);
       };
-      io_engine_->Submit(req, io_ctx);
+      engine.Submit(req, io_ctx);
     }
-    last = std::max(last, io_engine_->Drain(io_ctx));
+    last = std::max(last, engine.Drain(io_ctx));
     staged.clear();
   };
 
@@ -897,7 +800,9 @@ Time BufferPool::FlushAllDirtyAsync(IoContext& ctx, bool for_checkpoint) {
         s.pid = f.page_id;
         s.frame = i;
         s.kind = f.kind;
-        // kWriting until the completion callback settles the frame.
+        // kWriting until the completion callback settles the frame: still
+        // readable and pinnable, but not evictable, not re-dirtyable
+        // (MarkDirty waits), and not double-flushable.
         f.state.store(FrameState::kWriting, std::memory_order_relaxed);
         ++sh.transient;
         s.snapshot.resize(options_.page_bytes);

@@ -21,7 +21,6 @@
 
 namespace turbobp {
 
-class AsyncIoEngine;
 class BufferPool;
 class InvariantAuditor;
 struct AuditAccess;
@@ -123,13 +122,10 @@ class BufferPool {
     uint32_t num_shards = 0;
   };
 
-  // `io_engine`, when provided, must wrap the same device `disk` mediates;
-  // PrefetchRange and FlushAllDirty then run as deep-queue submitters
-  // (DESIGN.md §12) instead of serial call-and-wait loops. Null keeps every
-  // path synchronous — the mode the unit tests that pin DiskManager request
-  // counts construct.
+  // PrefetchRange and FlushAllDirty submit through disk->io_engine()
+  // (DESIGN.md §12).
   BufferPool(const Options& options, DiskManager* disk, LogManager* log,
-             SsdManager* ssd, AsyncIoEngine* io_engine = nullptr);
+             SsdManager* ssd);
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
@@ -163,9 +159,11 @@ class BufferPool {
   PageGuard NewPage(PageId pid, PageType type, IoContext& ctx)
       TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Sequential read-ahead: brings [first, first+n) into the pool as one
-  // trimmed multi-page disk request (Section 3.3.3), unpinned, marked
-  // kSequential. Blocks the client until the data is available.
+  // Sequential read-ahead: brings [first, first+n) into the pool, unpinned,
+  // marked kSequential. Leading and trailing pages the SSD can serve are
+  // trimmed off (Section 3.3.3); the rest are read through the disk engine,
+  // which coalesces contiguous runs into vectored device ops. Blocks the
+  // client until the data is available.
   void PrefetchRange(PageId first, uint32_t n, IoContext& ctx)
       TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -173,9 +171,13 @@ class BufferPool {
   int64_t DirtyFrameCount() const TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   int64_t UsedFrameCount() const TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Flushes every dirty frame to disk (sharp checkpoint / shutdown).
-  // Returns the completion time of the last write. When `for_checkpoint`,
-  // routes each flushed page through SsdManager::OnCheckpointWrite.
+  // Flushes every dirty frame to disk (sharp checkpoint / shutdown): stages
+  // dirty frames in windows of twice the engine's depth, forces the WAL once
+  // per window, submits per-page writes through the disk engine (which
+  // coalesces contiguous runs) and settles each frame from its completion
+  // callback. Returns the completion time of the last write. When
+  // `for_checkpoint`, routes each flushed page through
+  // SsdManager::OnCheckpointWrite.
   Time FlushAllDirty(IoContext& ctx, bool for_checkpoint)
       TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -370,13 +372,6 @@ class BufferPool {
   void WaitWhileWriting(int32_t frame, ShardLock& lock)
       TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Deep-queue checkpoint/shutdown drain: stages dirty frames in windows,
-  // forces the WAL once per window, submits per-page writes to io_engine_
-  // (which coalesces contiguous runs), and settles each frame from the
-  // completion callback. Only called when io_engine_ != nullptr.
-  Time FlushAllDirtyAsync(IoContext& ctx, bool for_checkpoint)
-      TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
-
   // Wakes frame-waiters after a settle (shard latch held).
   void BumpEpochAndNotify(int32_t frame);
   // Wakes ClaimFrame waiters of `sh` (shard latch held).
@@ -397,7 +392,6 @@ class BufferPool {
   DiskManager* disk_;
   LogManager* log_;
   SsdManager* ssd_;
-  AsyncIoEngine* io_engine_ = nullptr;  // optional; wraps disk_'s device
   NoSsdManager fallback_ssd_;  // used when ssd == nullptr
 
   std::vector<uint8_t> arena_;

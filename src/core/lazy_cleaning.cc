@@ -181,40 +181,31 @@ Time LazyCleaningCache::CleanOneGroup(IoContext& ctx) {
   // and the log covers them from the previous checkpoint).
   TURBOBP_CRASH_POINT("lc/clean-read");
 
-  // One multi-page disk write for the whole group, arriving after the SSD
-  // reads finished. (The WAL rule was satisfied when these pages were first
-  // admitted: the buffer pool forces the log before any dirty-page write.)
+  // The group's disk write, arriving after the SSD reads finished: one
+  // engine request per group page. (The WAL rule was satisfied when these
+  // pages were first admitted: the buffer pool forces the log before any
+  // dirty-page write.) Healthy groups reach the device as coalesced
+  // vectored writes, but a transient EIO makes the engine split the batch
+  // and retry ONLY the failing page, never re-writing its already-durable
+  // neighbours.
   IoContext write_ctx = ctx;
   write_ctx.now = last_ssd_read;
-  Time done;
-  if (options_.disk_io_engine != nullptr) {
-    // Deep-queue path: one engine request per group page. Healthy groups
-    // still reach the device as coalesced vectored writes, but a transient
-    // EIO makes the engine split the batch and retry ONLY the failing page
-    // — DiskManager::WritePages' whole-request retry would re-write every
-    // already-durable neighbour in the group.
-    for (size_t i = 0; i < group.size(); ++i) {
-      AsyncIoRequest req;
-      req.op = IoOp::kWrite;
-      req.first_page = group[i].pid;
-      req.num_pages = 1;
-      req.data = std::span<const uint8_t>(
-          buffer.data() + i * page_bytes, page_bytes);
-      req.on_complete = [](const IoCompletion& c) {
-        // The disk array is the durable home; failure past the engine's
-        // bounded per-request retry has no fallback (serial-path parity).
-        TURBOBP_CHECK_OK(c.result.status);
-      };
-      options_.disk_io_engine->Submit(req, write_ctx);
-    }
-    done = options_.disk_io_engine->Drain(write_ctx);
-  } else {
-    const IoResult wres = disk_->WritePages(
-        seed_pid, static_cast<uint32_t>(group.size()), buffer, write_ctx);
-    // The disk array is the durable home; its failure has no fallback.
-    TURBOBP_CHECK_OK(wres.status);
-    done = wres.time;
+  AsyncIoEngine& engine = disk_->io_engine();
+  for (size_t i = 0; i < group.size(); ++i) {
+    AsyncIoRequest req;
+    req.op = IoOp::kWrite;
+    req.first_page = group[i].pid;
+    req.num_pages = 1;
+    req.data =
+        std::span<const uint8_t>(buffer.data() + i * page_bytes, page_bytes);
+    req.on_complete = [](const IoCompletion& c) {
+      // The disk array is the durable home; failure past the engine's
+      // bounded per-request retry has no fallback.
+      TURBOBP_CHECK_OK(c.result.status);
+    };
+    engine.Submit(req, write_ctx);
   }
+  const Time done = engine.Drain(write_ctx);
   // The SSD→disk copy landed but the frames are still marked dirty: a crash
   // here must be harmless in either direction (the copy is idempotent).
   TURBOBP_CRASH_POINT("lc/clean-disk-write");

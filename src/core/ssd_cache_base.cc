@@ -758,24 +758,19 @@ bool SsdCacheBase::ScrubOneSlot(IoContext& ctx, std::vector<uint8_t>& buf) {
 
 void SsdCacheBase::RepairFrame(PageId pid, IoContext& ctx) {
   std::vector<uint8_t> buf(disk_->page_bytes());
+  // Patrol repairs ride the disk engine's low-priority lane: they must
+  // never starve foreground I/O.
+  AsyncIoEngine& engine = disk_->io_engine();
+  AsyncIoRequest req;
+  req.op = IoOp::kRead;
+  req.first_page = pid;
+  req.num_pages = 1;
+  req.out = std::span<uint8_t>(buf);
+  req.low_priority = true;
   Status rs = Status::Ok();
-  if (options_.disk_io_engine != nullptr) {
-    // Patrol repairs ride the low-priority lane: they must never starve
-    // foreground I/O.
-    AsyncIoRequest req;
-    req.op = IoOp::kRead;
-    req.first_page = pid;
-    req.num_pages = 1;
-    req.out = std::span<uint8_t>(buf);
-    req.low_priority = true;
-    Status got = Status::Ok();
-    req.on_complete = [&got](const IoCompletion& c) { got = c.result.status; };
-    options_.disk_io_engine->Submit(req, ctx);
-    ctx.Wait(options_.disk_io_engine->Drain(ctx));
-    rs = got;
-  } else {
-    rs = disk_->ReadPage(pid, buf, ctx);
-  }
+  req.on_complete = [&rs](const IoCompletion& c) { rs = c.result.status; };
+  engine.Submit(req, ctx);
+  ctx.Wait(engine.Drain(ctx));
   if (!rs.ok()) return;  // disk unreadable: the quarantine already happened
   const PageView v(buf.data(), disk_->page_bytes());
   if (v.header().page_id != pid || !v.VerifyChecksum()) return;

@@ -17,7 +17,6 @@
 
 namespace turbobp {
 
-class AsyncIoEngine;
 class SimExecutor;
 class InvariantAuditor;
 struct AuditAccess;
@@ -70,12 +69,6 @@ struct SsdCacheOptions {
   // survive a restart. The device must provide num_frames +
   // SsdMetadataJournal::RegionPagesFor(num_frames, page_bytes) pages.
   bool persistent_cache = false;
-  // Optional async engine over the DISK array (not the SSD). When set, LC's
-  // group cleaning and checkpoint drain submit per-page disk writes through
-  // it — the engine coalesces contiguous runs and owns the bounded
-  // per-request retry, so one flaky page never re-writes its group
-  // neighbours. Null keeps the serial DiskManager::WritePages path.
-  AsyncIoEngine* disk_io_engine = nullptr;
 };
 
 // Common machinery shared by the CW/DW/LC designs and TAC: the partitioned

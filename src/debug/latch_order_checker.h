@@ -57,10 +57,8 @@ namespace turbobp {
 // may run under a pool shard latch, kBufferPool -> kWal) and the
 // group-commit protocol state — the flush leader computes its batch under
 // mu_ but performs the log-device write with mu_ *released* (followers park
-// on a condvar), so device I/O under kWal is forbidden; the single
-// sanctioned exception is the legacy pre-group-commit A/B baseline in
-// FlushToLegacyLocked, waived inline; kSsdJournal guards the
-// persistent-metadata journal's
+// on a condvar), so device I/O under kWal is forbidden, with no
+// exception; kSsdJournal guards the persistent-metadata journal's
 // in-memory staging state only — sealed pages are written to the device
 // *after* the latch is dropped (publish-then-seal), hence device-io
 // forbidden; kSsdFault guards the lost-page set and degradation state;

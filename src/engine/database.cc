@@ -12,15 +12,13 @@ namespace {
 std::unique_ptr<SsdManager> BuildSsdManager(const SystemConfig& config,
                                             StorageDevice* ssd_device,
                                             DiskManager* disk,
-                                            SimExecutor* executor,
-                                            AsyncIoEngine* disk_engine) {
+                                            SimExecutor* executor) {
   if (config.design == SsdDesign::kNoSsd || ssd_device == nullptr) {
     return std::make_unique<NoSsdManager>();
   }
   SsdCacheOptions opts = config.ssd_options;
   opts.num_frames = config.ssd_frames;
   opts.persistent_cache = config.persistent_ssd_cache;
-  opts.disk_io_engine = disk_engine;
   switch (config.design) {
     case SsdDesign::kCleanWrite:
       return std::make_unique<CleanWriteCache>(ssd_device, disk, opts,
@@ -73,26 +71,17 @@ DbSystem::DbSystem(const SystemConfig& config)
           config_.log_device_pages, config_.page_bytes,
           std::make_unique<HddModel>(config_.log_params))),
       disk_manager_(disk_array_.get()),
-      disk_io_engine_(config_.io_queue_depth > 0
-                          ? std::make_unique<AsyncIoEngine>(
-                                disk_array_.get(),
-                                AsyncIoEngine::Options{
-                                    .queue_depth = config_.io_queue_depth})
-                          : nullptr),
       log_(log_device_.get()),
       ssd_manager_(BuildSsdManager(config_,
                                    ssd_fault_device_ != nullptr
                                        ? static_cast<StorageDevice*>(
                                              ssd_fault_device_.get())
                                        : ssd_device_.get(),
-                                   &disk_manager_, &executor_,
-                                   disk_io_engine_.get())),
+                                   &disk_manager_, &executor_)),
       buffer_pool_(std::make_unique<BufferPool>(
-          config_.bp_options, &disk_manager_, &log_, ssd_manager_.get(),
-          disk_io_engine_.get())),
+          config_.bp_options, &disk_manager_, &log_, ssd_manager_.get())),
       checkpoint_(std::make_unique<CheckpointManager>(
           buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {
-  log_.set_group_commit(config_.wal_group_commit);
   if (config_.persistent_ssd_cache) {
     // RecoverPersistent scans the full durable log to judge restored SSD
     // frames; checkpoint-driven WAL prefix truncation would hide updates
@@ -104,7 +93,7 @@ DbSystem::DbSystem(const SystemConfig& config)
 void DbSystem::Crash() {
   // The engine's submission queue is volatile: queued-but-unissued requests
   // die with the power, exactly like the pool's dirty frames.
-  if (disk_io_engine_ != nullptr) disk_io_engine_->Reset();
+  disk_manager_.io_engine().Reset();
   buffer_pool_->Reset();
   log_.DropUnflushed();
   // A restart reformats the SSD buffer pool: no design to date reuses its
@@ -115,19 +104,18 @@ void DbSystem::Crash() {
                                      ? static_cast<StorageDevice*>(
                                            ssd_fault_device_.get())
                                      : ssd_device_.get(),
-                                 &disk_manager_, &executor_,
-                                 disk_io_engine_.get());
+                                 &disk_manager_, &executor_);
   buffer_pool_->set_ssd_manager(ssd_manager_.get());
   checkpoint_->set_ssd_manager(ssd_manager_.get());
 }
 
 RecoveryStats DbSystem::Recover(IoContext& ctx) {
-  RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
+  RecoveryManager recovery(&disk_manager_, &log_);
   return recovery.Recover(ctx);
 }
 
 std::pair<RecoveryStats, size_t> DbSystem::RecoverWithSsdTable(IoContext& ctx) {
-  RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
+  RecoveryManager recovery(&disk_manager_, &log_);
   const SsdTableSnapshot* snapshot = checkpoint_->latest_snapshot();
   if (snapshot == nullptr) {
     return {recovery.Recover(ctx), 0};
@@ -176,7 +164,7 @@ std::pair<RecoveryStats, PersistentRestoreStats> DbSystem::RecoverPersistent(
   std::unordered_map<PageId, Lsn> covered;
   ssd_manager_->RecoverPersistentState(horizon, ctx, &max_update_lsn, &covered,
                                        &pstats);
-  RecoveryManager recovery(&disk_manager_, &log_, disk_io_engine_.get());
+  RecoveryManager recovery(&disk_manager_, &log_);
   RecoveryStats stats =
       recovery.Recover(ctx, pstats.min_dirty_lsn, nullptr, &covered);
   stats.records_truncated += static_cast<int64_t>(truncated);
@@ -190,6 +178,7 @@ Database::Database(DbSystem* system) : system_(system) {
 
 PageId Database::AllocatePages(uint64_t n) {
   TURBOBP_CHECK(n > 0);
+  std::lock_guard<std::mutex> lock(alloc_mu_);
   TURBOBP_CHECK(catalog_.next_free_page + n <=
                 system_->config().db_pages);
   const PageId first = catalog_.next_free_page;

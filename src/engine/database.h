@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,16 +83,6 @@ struct SystemConfig {
   // commodity part of the stack.
   bool inject_ssd_faults = false;
   FaultPlan ssd_fault_plan = FaultPlan::Healthy();
-  // Leader-based WAL group commit (DESIGN.md §14). Off reinstates the
-  // pre-group-commit behavior — one log-device write per flush request,
-  // issued while holding the WAL latch — kept only as the A/B baseline for
-  // bench_scaleout_threads.
-  bool wal_group_commit = true;
-  // Queue depth of the async I/O engine over the disk array (DESIGN.md §12):
-  // read-ahead, checkpoint drain, LC group cleaning and recovery prefetch
-  // submit through it. 0 disables the engine entirely — every consumer falls
-  // back to its serial call-and-wait path.
-  int io_queue_depth = 32;
 };
 
 class DbSystem {
@@ -108,8 +99,8 @@ class DbSystem {
   // Non-null iff config.inject_ssd_faults and the design uses an SSD.
   FaultInjectingDevice* ssd_fault() { return ssd_fault_device_.get(); }
   DiskManager& disk_manager() { return disk_manager_; }
-  // Null when config.io_queue_depth == 0.
-  AsyncIoEngine* disk_io_engine() { return disk_io_engine_.get(); }
+  // The disk manager's async engine (depth 32, DESIGN.md §12); never null.
+  AsyncIoEngine* disk_io_engine() { return &disk_manager_.io_engine(); }
   LogManager& log() { return log_; }
   SsdManager& ssd_manager() { return *ssd_manager_; }
   BufferPool& buffer_pool() { return *buffer_pool_; }
@@ -156,7 +147,6 @@ class DbSystem {
   std::unique_ptr<FaultInjectingDevice> ssd_fault_device_;
   std::unique_ptr<SimDevice> log_device_;
   DiskManager disk_manager_;
-  std::unique_ptr<AsyncIoEngine> disk_io_engine_;
   LogManager log_;
   std::unique_ptr<SsdManager> ssd_manager_;
   std::unique_ptr<BufferPool> buffer_pool_;
@@ -179,7 +169,8 @@ class Database {
   const Catalog& catalog() const { return catalog_; }
   uint32_t page_bytes() const { return system_->config().page_bytes; }
 
-  // Allocates `n` contiguous pages; returns the first id.
+  // Allocates `n` contiguous pages; returns the first id. Thread-safe:
+  // real-thread clients split different B+-trees concurrently.
   PageId AllocatePages(uint64_t n);
 
   // Benchmark fixtures snapshot the catalog after population and re-attach
@@ -191,6 +182,7 @@ class Database {
 
   DbSystem* system_;
   Catalog catalog_;
+  std::mutex alloc_mu_;  // guards catalog_.next_free_page in AllocatePages
 };
 
 }  // namespace turbobp

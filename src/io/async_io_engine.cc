@@ -161,12 +161,18 @@ void AsyncIoEngine::Kick(Time now) {
       ++stats_.coalesced_batches;
       stats_.coalesced_pages += batch.total_pages;
     }
+    // The batch is off staged_ and not yet in issued_: issuing_ keeps its
+    // ring slot (a concurrent Kick must not overfill the ring) and keeps a
+    // concurrent Drain waiting for it.
+    ++issuing_;
     lock.unlock();
     const IoResult res = IssueBatch(batch, at);
     lock.lock();
+    --issuing_;
     batch.result = res;
     ApplyDeadlineLocked(batch, at, /*wall_us=*/-1);
     issued_.emplace(batch.result.time, std::move(batch));
+    reap_cv_.notify_all();
   }
 }
 
@@ -223,10 +229,18 @@ bool AsyncIoEngine::HarvestOne(Time deadline, std::vector<IoCompletion>* out,
     if (!batch.result.ok()) {
       stats_.errors += static_cast<int64_t>(batch.reqs.size());
     }
+    ++delivering_;
   }
   // Engine latch dropped: completion callbacks may re-enter the frame state
   // machine and take pool/partition latches on a fresh stack.
+  const auto n = static_cast<int64_t>(batch.reqs.size());
   Deliver(std::move(batch), out);
+  {
+    EngineLock lock(mu_);
+    --delivering_;
+    outstanding_ -= n;
+  }
+  reap_cv_.notify_all();
   *delivered = true;
   return true;
 }
@@ -258,6 +272,7 @@ IoToken AsyncIoEngine::Submit(const AsyncIoRequest& req, IoContext& ctx) {
     token = next_token_++;
     p.token = token;
     ++stats_.submitted;
+    ++outstanding_;
     q.push_back(std::move(p));
   }
   if (is_write) {
@@ -271,19 +286,6 @@ IoToken AsyncIoEngine::Submit(const AsyncIoRequest& req, IoContext& ctx) {
     Kick(ctx.now);
   }
   return token;
-}
-
-IoToken AsyncIoEngine::TrySubmit(const AsyncIoRequest& req, IoContext& ctx) {
-  {
-    EngineLock lock(mu_);
-    if (static_cast<int>(staged_.size()) + static_cast<int>(staged_low_.size()) +
-            static_cast<int>(issued_.size()) + issuing_ >=
-        2 * options_.queue_depth) {
-      ++stats_.queue_full_waits;
-      return 0;
-    }
-  }
-  return Submit(req, ctx);
 }
 
 std::vector<IoCompletion> AsyncIoEngine::Reap(int max, Time deadline,
@@ -317,34 +319,35 @@ std::vector<IoCompletion> AsyncIoEngine::Reap(int max, Time deadline,
 }
 
 Time AsyncIoEngine::Drain(IoContext& ctx) {
-  while (!Idle()) {
-    std::vector<IoCompletion> got =
-        Reap(std::numeric_limits<int>::max(), kTimeMax, ctx);
-    if (got.empty() && Idle()) break;
+  for (;;) {
+    Reap(std::numeric_limits<int>::max(), kTimeMax, ctx);
+    EngineLock lock(mu_);
+    if (outstanding_ == 0) {
+      clock_ = std::max(clock_, ctx.now);
+      return std::max(ctx.now, last_completion_);
+    }
+    // Nothing harvestable here: the rest is mid device call or mid
+    // callbacks on another thread. Wait for that window to close.
+    if (issued_.empty() && (issuing_ > 0 || delivering_ > 0)) {
+      reap_cv_.wait(lock);
+    }
   }
-  EngineLock lock(mu_);
-  clock_ = std::max(clock_, ctx.now);
-  return std::max(ctx.now, last_completion_);
 }
 
 int64_t AsyncIoEngine::Outstanding() const {
   EngineLock lock(mu_);
-  int64_t n = static_cast<int64_t>(staged_.size()) +
-              static_cast<int64_t>(staged_low_.size()) + issuing_;
-  for (const auto& [done, batch] : issued_) {
-    n += static_cast<int64_t>(batch.reqs.size());
-  }
-  return n;
+  return outstanding_;
 }
 
 void AsyncIoEngine::Reset() {
   EngineLock lock(mu_);
-  // Wait out workers mid device call so no batch re-materialises after the
-  // queues are cleared.
-  while (issuing_ > 0) reap_cv_.wait(lock);
+  // Wait out device calls and callbacks in progress so no batch
+  // re-materialises after the queues are cleared.
+  while (issuing_ > 0 || delivering_ > 0) reap_cv_.wait(lock);
   staged_.clear();
   staged_low_.clear();
   issued_.clear();
+  outstanding_ = 0;
   clock_ = 0;
   last_completion_ = 0;
 }

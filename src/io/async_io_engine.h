@@ -16,8 +16,7 @@
 
 namespace turbobp {
 
-// Ticket for one submitted request; 0 is never issued (TrySubmit returns it
-// to signal backpressure).
+// Ticket for one submitted request; 0 is never issued.
 using IoToken = uint64_t;
 
 // One harvested completion. `result.time` is the virtual-time instant the
@@ -84,9 +83,7 @@ struct AsyncIoRequest {
 //  * Threaded (options.threaded). A small worker pool pops batches and
 //    performs the blocking device call off-latch; Reap blocks until a
 //    completion is available. This is the backend for FileDevice-class real
-//    devices. (io_uring proper is an optional third backend behind the
-//    TURBOBP_IO_URING CMake flag; the container default is OFF and falls
-//    back to this thread pool.)
+//    devices.
 //
 // Coalescing: contiguous same-op runs on the submission queue are merged
 // into one vectored device request (the paper's multi-page trimming applied
@@ -155,14 +152,6 @@ class AsyncIoEngine {
                        TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
           TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Like Submit, but returns 0 instead of queueing behind a full submission
-  // queue (backpressure for advisory work such as read-ahead).
-  IoToken TrySubmit(const AsyncIoRequest& req, IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
-                       TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
-          TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
-
   // Harvests up to `max` completions whose device finish time is <=
   // `deadline` (sim; the threaded backend blocks until at least one
   // completion is available or nothing is outstanding and ignores the
@@ -174,22 +163,29 @@ class AsyncIoEngine {
                        TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
           TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Reaps everything (including bounded retries); returns the completion
+  // Reaps everything (including bounded retries) and returns only once
+  // nothing is outstanding — a completion another thread harvested is
+  // waited for until its callback has returned. Returns the completion
   // instant of the last request, or ctx.now if nothing was outstanding.
+  // Never call from a completion callback of the same engine: the drain
+  // would wait on its own delivery.
   Time Drain(IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
                        TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
                        TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
           TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Requests accepted but not yet reaped (staged + in flight + harvestable).
+  // Requests accepted whose completion callbacks have not yet returned:
+  // staged, mid device call, in flight, harvestable, or mid delivery on
+  // some thread.
   int64_t Outstanding() const TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   bool Idle() const { return Outstanding() == 0; }
 
   // Crash simulation: drops all queued and in-flight bookkeeping without
   // delivering completions (the sim backend has already moved any issued
   // data; staged requests vanish, exactly like power loss with a volatile
-  // submission queue). Only meaningful between operations.
+  // submission queue). Waits out device calls and callbacks running on
+  // other threads first. Only meaningful between operations.
   void Reset() TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
   Stats stats() const TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
@@ -235,7 +231,8 @@ class AsyncIoEngine {
   // Called with no engine latch held.
   IoResult IssueBatch(Batch& batch, Time at);
   // Sim backend: issues staged batches while the ring has room, advancing
-  // the engine clock to `now`.
+  // the engine clock to `now`. Each device call runs with mu_ released and
+  // counted in issuing_.
   void Kick(Time now) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   // Moves one harvestable batch out of the ring. Returns false when nothing
   // completes by `deadline`. A transiently-failed batch is re-staged (split
@@ -244,7 +241,8 @@ class AsyncIoEngine {
   bool HarvestOne(Time deadline, std::vector<IoCompletion>* out,
                   bool* delivered) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   // Builds the per-request completions for a finished batch and invokes
-  // callbacks. Called with no engine latch held.
+  // callbacks. Called with no engine latch held; the batch stays counted in
+  // delivering_ and outstanding_ until it returns.
   void Deliver(Batch batch, std::vector<IoCompletion>* out);
   void WorkerLoop();
 
@@ -266,12 +264,20 @@ class AsyncIoEngine {
   Time last_completion_ TURBOBP_GUARDED_BY(mu_) = 0;
   IoToken next_token_ TURBOBP_GUARDED_BY(mu_) = 1;
   Stats stats_ TURBOBP_GUARDED_BY(mu_);
+  // Requests accepted by Submit and not yet through Deliver (what
+  // Outstanding reports). Dropped only after the callbacks return.
+  int64_t outstanding_ TURBOBP_GUARDED_BY(mu_) = 0;
+  // Batches some thread holds with mu_ released: mid device call (sim Kick
+  // or a worker; each occupies a ring slot) or mid callbacks in Deliver.
+  // Nobody else can reap them, so Drain and Reset wait for these to drop.
+  int issuing_ TURBOBP_GUARDED_BY(mu_) = 0;
+  int delivering_ TURBOBP_GUARDED_BY(mu_) = 0;
+  // issued_ gained a completion, or issuing_/delivering_ dropped.
+  std::condition_variable_any reap_cv_;
 
   // Threaded backend.
   std::condition_variable_any work_cv_;   // staged_ gained work / stopping
-  std::condition_variable_any reap_cv_;   // issued_ gained a completion
   std::condition_variable_any space_cv_;  // staged_ shrank below capacity
-  int issuing_ TURBOBP_GUARDED_BY(mu_) = 0;  // workers mid device call
   bool stopping_ TURBOBP_GUARDED_BY(mu_) = false;
   std::vector<std::thread> workers_;
 };

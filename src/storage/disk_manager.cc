@@ -5,9 +5,9 @@
 
 namespace turbobp {
 
-DiskManager::DiskManager(StorageDevice* data) : data_(data) {
-  TURBOBP_CHECK(data != nullptr);
-}
+DiskManager::DiskManager(StorageDevice* data,
+                         const AsyncIoEngine::Options& engine_options)
+    : data_(data), engine_(data, engine_options) {}
 
 Status DiskManager::ReadPage(PageId pid, std::span<uint8_t> out,
                              IoContext& ctx) {
@@ -41,12 +41,6 @@ Status DiskManager::ReadPages(PageId first, uint32_t n, std::span<uint8_t> out,
 
 IoResult DiskManager::WritePage(PageId pid, std::span<const uint8_t> data,
                                 IoContext& ctx) {
-  return WritePages(pid, 1, data, ctx);
-}
-
-IoResult DiskManager::WritePages(PageId first, uint32_t n,
-                                 std::span<const uint8_t> data,
-                                 IoContext& ctx) {
   IoResult res;
   Time at = ctx.now;
   for (int attempt = 0; attempt < kRetryLimit; ++attempt) {
@@ -54,12 +48,12 @@ IoResult DiskManager::WritePages(PageId first, uint32_t n,
       io_retries_.fetch_add(1, std::memory_order_relaxed);
       if (ctx.charge) at += kRetryBackoff;
     }
-    res = data_->Write(first, n, data, at, ctx.charge);
+    res = data_->Write(pid, 1, data, at, ctx.charge);
     if (res.ok() || res.status.IsUnavailable()) break;
   }
   if (ctx.charge) {
     writes_.fetch_add(1, std::memory_order_relaxed);
-    pages_written_.fetch_add(n, std::memory_order_relaxed);
+    pages_written_.fetch_add(1, std::memory_order_relaxed);
   }
   if (!res.ok()) io_errors_.fetch_add(1, std::memory_order_relaxed);
   // The page content has reached the durable disk array (heap, B+-tree,

@@ -5,21 +5,29 @@
 #include <cstdint>
 #include <span>
 
+#include "io/async_io_engine.h"
 #include "storage/io_context.h"
 #include "storage/storage_device.h"
 
 namespace turbobp {
 
 // The disk manager of Figure 1: mediates all page I/O between the buffer
-// manager and the database volume (typically a StripedDiskArray), issuing
-// one device request per call — including multi-page vectored reads, which
-// the read-ahead path relies on ("the disk can handle a single large I/O
-// request more efficiently than multiple small I/O requests", Section 3.3.3).
+// manager and the database volume (typically a StripedDiskArray).
+//
+// Two paths reach the device. The blocking calls below issue one device
+// request per call — including the multi-page vectored reads of the
+// warm-up read expansion ("the disk can handle a single large I/O request
+// more efficiently than multiple small I/O requests", Section 3.3.3). Bulk
+// page I/O — read-ahead, checkpoint drain, LC group cleaning, scrub repair
+// and recovery redo — goes through io_engine(), the one AsyncIoEngine this
+// manager owns over the same device (DESIGN.md §12). Engine I/O bypasses
+// the counters below by design; the engine keeps its own stats().
 //
 // The disk array is the durable home of every page, so transient device
-// errors are absorbed here with a bounded retry/backoff loop; a request
-// that still fails is surfaced to the caller, for whom a dead disk array
-// (unlike a dead SSD cache) is fatal.
+// errors are absorbed with a bounded retry/backoff (here for the blocking
+// calls, per request inside the engine); a request that still fails is
+// surfaced to the caller, for whom a dead disk array (unlike a dead SSD
+// cache) is fatal.
 class DiskManager {
  public:
   // Transient-error policy: retry up to kRetryLimit attempts, charging
@@ -27,13 +35,16 @@ class DiskManager {
   static constexpr int kRetryLimit = 3;
   static constexpr Time kRetryBackoff = Millis(1);
 
-  explicit DiskManager(StorageDevice* data);
+  explicit DiskManager(StorageDevice* data,
+                       const AsyncIoEngine::Options& engine_options = {});
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
   uint32_t page_bytes() const { return data_->page_bytes(); }
   uint64_t num_pages() const { return data_->num_pages(); }
   StorageDevice* device() { return data_; }
+  // The async submit/reap engine over device(); see the class comment.
+  AsyncIoEngine& io_engine() { return engine_; }
 
   // Blocking single-page read; advances ctx.now to completion. Like every
   // entry point below: never call with a buffer-pool shard or frame latch
@@ -48,13 +59,9 @@ class DiskManager {
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
                        TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
 
-  // Asynchronous writes: consume device time, return the completion time,
-  // leave ctx.now unchanged.
+  // Asynchronous write: consumes device time, returns the completion time,
+  // leaves ctx.now unchanged.
   IoResult WritePage(PageId pid, std::span<const uint8_t> data, IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
-  IoResult WritePages(PageId first, uint32_t n, std::span<const uint8_t> data,
-                      IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
                        TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
 
@@ -89,6 +96,7 @@ class DiskManager {
 
  private:
   StorageDevice* data_;
+  AsyncIoEngine engine_;
   // Relaxed atomics: bumped concurrently once the buffer pool issues reads
   // and writes outside its shard latches.
   std::atomic<int64_t> reads_{0};

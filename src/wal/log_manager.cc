@@ -107,7 +107,6 @@ Time LogManager::FlushTo(Lsn lsn, IoContext& ctx)
   // clamp, robust to prefix truncation).
   lsn = std::min(lsn, last_record_lsn_);
   if (lsn <= durable_lsn_) return ctx.now;
-  if (!group_commit_) return FlushToLegacyLocked(lsn, ctx);
 
   bool waited = false;
   for (;;) {
@@ -166,33 +165,6 @@ Time LogManager::FlushTo(Lsn lsn, IoContext& ctx)
     flush_cv_.notify_all();
     return res.time;  // target >= lsn: the batch covered the caller
   }
-}
-
-Time LogManager::FlushToLegacyLocked(Lsn lsn, IoContext& ctx) {
-  // Pre-group-commit baseline, kept only for the bench_scaleout_threads A/B
-  // (set_group_commit(false)): one device write per flush request, issued
-  // while holding mu_, so every committer serializes behind device latency.
-  TURBOBP_CRASH_POINT("wal/flush-begin");
-  uint64_t first = 0;
-  uint32_t npages = 0;
-  StageDeviceWrite(lsn, &first, &npages);
-  const size_t need = static_cast<size_t>(npages) * device_->page_bytes();
-  const IoResult res =  // check: allow(io-under-latch: legacy pre-group-commit A/B baseline)
-      device_->Write(first, npages, ZeroPages(need), ctx.now, ctx.charge);
-  TURBOBP_CHECK_OK(res.status);
-  TURBOBP_CRASH_POINT("wal/flush-device");
-  durable_lsn_ = lsn;
-  durable_completion_ = res.time;
-  TURBOBP_CRASH_POINT("wal/flush-durable");
-  if (ctx.charge) ++flushes_;
-  // The defining cost of the legacy protocol: the committer blocks to the
-  // device's completion *while holding mu_*, so every other appender and
-  // committer queues on the latch for the full write. (In sim mode this
-  // only advances the virtual clock; in real-thread mode with
-  // real_sleep_scale it burns wall time under the latch — the serial
-  // bottleneck the group-commit leader protocol removes.)
-  ctx.Wait(res.time);
-  return res.time;
 }
 
 void LogManager::CommitForce(IoContext& ctx) {

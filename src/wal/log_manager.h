@@ -56,20 +56,12 @@ struct LogRecord {
 // and performs ONE device write covering every record appended so far with
 // mu_ *released* — appenders keep appending and followers park on a condvar
 // until the leader publishes the new durable LSN. kWal is therefore
-// device-io-forbidden in the latch-order spec. The pre-group-commit
-// behavior (device write while holding mu_, every committer serializing
-// behind device latency) is retained behind set_group_commit(false) as the
-// A/B baseline for bench_scaleout_threads.
+// device-io-forbidden in the latch-order spec.
 class LogManager {
  public:
   LogManager(StorageDevice* log_device);
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
-
-  // Toggles leader-based group commit (default on). The legacy mode exists
-  // only for A/B measurement; it reintroduces device I/O under mu_.
-  void set_group_commit(bool on) { group_commit_ = on; }
-  bool group_commit() const { return group_commit_; }
 
   Lsn AppendUpdate(uint64_t txn_id, PageId pid, uint32_t offset,
                    std::span<const uint8_t> bytes) TURBOBP_EXCLUDES(mu_);
@@ -195,9 +187,6 @@ class LogManager {
 
  private:
   Lsn Append(LogRecord rec) TURBOBP_EXCLUDES(mu_);
-  // Legacy pre-group-commit flush: one device write per call, issued while
-  // holding mu_. Kept verbatim as the A/B baseline (group_commit_ == false).
-  Time FlushToLegacyLocked(Lsn lsn, IoContext& ctx) TURBOBP_REQUIRES(mu_);
   // Computes the device extent covering [durable_lsn_, target] and advances
   // the sequential log-device cursor.
   void StageDeviceWrite(Lsn target, uint64_t* first, uint32_t* npages)
@@ -206,8 +195,7 @@ class LogManager {
   // WAL latch: serializes appends and the flush-protocol state. Acquired
   // under the buffer pool latch on the eviction path (kBufferPool -> kWal)
   // and standalone by checkpoints and group commit. Device-io-forbidden:
-  // the group-commit leader drops mu_ for the batched log-device write (the
-  // legacy A/B mode is the single sanctioned waiver).
+  // the group-commit leader drops mu_ for the batched log-device write.
   mutable TrackedMutex<LatchClass::kWal> mu_;
   StorageDevice* device_;
   std::vector<LogRecord> records_ TURBOBP_GUARDED_BY(mu_);
@@ -232,7 +220,6 @@ class LogManager {
   // and re-check durable_lsn_ when notified. Completion of the flush that
   // established durable_lsn_, in virtual time (what a woken follower
   // returns as its flush completion).
-  bool group_commit_ = true;
   bool flush_in_flight_ TURBOBP_GUARDED_BY(mu_) = false;
   Time durable_completion_ TURBOBP_GUARDED_BY(mu_) = 0;
   std::condition_variable_any flush_cv_;

@@ -6,14 +6,12 @@
 
 #include "common/status.h"
 #include "fault/crash_point.h"
-#include "io/async_io_engine.h"
 #include "storage/page.h"
 
 namespace turbobp {
 
-RecoveryManager::RecoveryManager(DiskManager* disk, LogManager* log,
-                                 AsyncIoEngine* io_engine)
-    : disk_(disk), log_(log), io_engine_(io_engine) {
+RecoveryManager::RecoveryManager(DiskManager* disk, LogManager* log)
+    : disk_(disk), log_(log) {
   TURBOBP_CHECK(disk != nullptr);
   TURBOBP_CHECK(log != nullptr);
 }
@@ -63,7 +61,7 @@ RecoveryStats RecoveryManager::Recover(
 
   // Filter pass (pure, no I/O): decide which records will enter redo and do
   // the scan bookkeeping. Separating it from the apply pass lets the
-  // prefetched path below see each window's page set up front.
+  // prefetch below see each window's page set up front.
   std::vector<const LogRecord*> todo;
   for (const LogRecord& rec : log_->records_for_recovery()) {
     if (!log_->IsDurable(rec.lsn)) break;  // torn tail: stop at first gap
@@ -92,7 +90,7 @@ RecoveryStats RecoveryManager::Recover(
   // Applies one record to the page image in `buf` and, if the redo test
   // passes, writes it back synchronously (the "recovery/redo-apply"
   // idempotence edge requires every applied record to be durable before the
-  // next one, in both the serial and the prefetched path).
+  // next one).
   auto apply = [&](const LogRecord& rec, std::span<uint8_t> buf) {
     PageView v(buf.data(), page_bytes);
     // Redo test: apply only if the on-disk page has not seen this update.
@@ -115,53 +113,44 @@ RecoveryStats RecoveryManager::Recover(
     TURBOBP_CRASH_POINT("recovery/redo-apply");
   };
 
-  if (io_engine_ == nullptr) {
-    std::vector<uint8_t> buf(page_bytes);
-    for (const LogRecord* rec : todo) {
-      TURBOBP_CHECK_OK(disk_->ReadPage(rec->page_id, buf, ctx));
-      ++stats.pages_read;
-      apply(*rec, buf);
-    }
-  } else {
-    // Deep-queue redo prefetch: group the redo stream into windows of up to
-    // 2x the ring's depth DISTINCT pages, prefetch each window's pages
-    // through the engine (contiguous runs coalesce into vectored reads,
-    // scattered ones overlap across spindles), then apply from the cached
-    // images. A record applies INTO its cached image, so a later record of
-    // the same page within the window sees every earlier update — the
-    // coherence rule that makes caching safe.
-    const size_t window =
-        static_cast<size_t>(io_engine_->queue_depth()) * 2;
-    std::unordered_map<PageId, std::vector<uint8_t>> cache;
-    size_t i = 0;
-    while (i < todo.size()) {
-      cache.clear();
-      std::vector<PageId> pids;
-      size_t j = i;
-      while (j < todo.size()) {
-        const PageId pid = todo[j]->page_id;
-        if (!cache.contains(pid)) {
-          if (pids.size() == window) break;
-          cache.emplace(pid, std::vector<uint8_t>(page_bytes));
-          pids.push_back(pid);
-        }
-        ++j;
+  // Deep-queue redo prefetch: group the redo stream into windows of up to
+  // 2x the ring's depth DISTINCT pages, prefetch each window's pages
+  // through the engine (contiguous runs coalesce into vectored reads,
+  // scattered ones overlap across spindles), then apply from the cached
+  // images. A record applies INTO its cached image, so a later record of
+  // the same page within the window sees every earlier update — the
+  // coherence rule that makes caching safe.
+  AsyncIoEngine& engine = disk_->io_engine();
+  const size_t window = static_cast<size_t>(engine.queue_depth()) * 2;
+  std::unordered_map<PageId, std::vector<uint8_t>> cache;
+  size_t i = 0;
+  while (i < todo.size()) {
+    cache.clear();
+    std::vector<PageId> pids;
+    size_t j = i;
+    while (j < todo.size()) {
+      const PageId pid = todo[j]->page_id;
+      if (!cache.contains(pid)) {
+        if (pids.size() == window) break;
+        cache.emplace(pid, std::vector<uint8_t>(page_bytes));
+        pids.push_back(pid);
       }
-      std::sort(pids.begin(), pids.end());
-      for (const PageId pid : pids) {
-        AsyncIoRequest req;
-        req.first_page = pid;
-        req.num_pages = 1;
-        req.out = cache[pid];
-        req.on_complete = [](const IoCompletion& c) {
-          TURBOBP_CHECK_OK(c.result.status);
-        };
-        io_engine_->Submit(req, ctx);
-      }
-      ctx.Wait(io_engine_->Drain(ctx));
-      stats.pages_read += static_cast<int64_t>(pids.size());
-      for (; i < j; ++i) apply(*todo[i], cache[todo[i]->page_id]);
+      ++j;
     }
+    std::sort(pids.begin(), pids.end());
+    for (const PageId pid : pids) {
+      AsyncIoRequest req;
+      req.first_page = pid;
+      req.num_pages = 1;
+      req.out = cache[pid];
+      req.on_complete = [](const IoCompletion& c) {
+        TURBOBP_CHECK_OK(c.result.status);
+      };
+      engine.Submit(req, ctx);
+    }
+    ctx.Wait(engine.Drain(ctx));
+    stats.pages_read += static_cast<int64_t>(pids.size());
+    for (; i < j; ++i) apply(*todo[i], cache[todo[i]->page_id]);
   }
   stats.elapsed = ctx.now - start;
   return stats;

@@ -9,8 +9,6 @@
 
 namespace turbobp {
 
-class AsyncIoEngine;
-
 struct RecoveryStats {
   Lsn redo_start_lsn = kInvalidLsn;
   int64_t records_scanned = 0;
@@ -32,18 +30,17 @@ struct RecoveryStats {
 // applying each update record whose LSN is newer than the on-disk page LSN.
 class RecoveryManager {
  public:
-  // `io_engine`, when provided, batches the redo pass's page reads: the
+  RecoveryManager(DiskManager* disk, LogManager* log);
+
+  // Replays the durable log from the latest completed checkpoint (or from
+  // the beginning if none). Returns stats; ctx carries timing.
+  //
+  // The redo pass's page reads are batched through disk->io_engine(): the
   // records to replay are grouped into windows of distinct pages, each
   // window's pages are prefetched through the engine's deep queue (reads of
   // one page are also deduplicated within a window), and redo applies from
   // the prefetched images. Page writes stay synchronous, preserving the
   // per-record "recovery/redo-apply" idempotence edge.
-  RecoveryManager(DiskManager* disk, LogManager* log,
-                  AsyncIoEngine* io_engine = nullptr);
-
-  // Replays the durable log from the latest completed checkpoint (or from
-  // the beginning if none). Reads and writes pages directly through the
-  // disk manager. Returns stats; ctx carries timing.
   //
   // `redo_start_override` forces an earlier redo start (the restart
   // extension must cover dirty SSD pages whose updates predate the last
@@ -64,7 +61,6 @@ class RecoveryManager {
 
   DiskManager* disk_;
   LogManager* log_;
-  AsyncIoEngine* io_engine_;
 };
 
 }  // namespace turbobp

@@ -1,7 +1,10 @@
 // The multi-page read-ahead path with an SSD cache attached (Section
 // 3.3.3): leading/trailing SSD-resident pages are trimmed and served from
-// the SSD, the middle is one disk request, and LC's newer-than-disk pages
-// are re-read from the SSD even when they sit mid-request.
+// the SSD, only the middle run goes to the disk (one engine request per
+// page, submitted back to back), and LC's newer-than-disk pages are re-read
+// from the SSD even when they sit mid-run. Read-ahead reaches the disk
+// through the DiskManager's async engine, never its blocking path, so the
+// disk-side assertions read the engine's counters.
 
 #include <gtest/gtest.h>
 
@@ -88,11 +91,12 @@ TEST_F(PrefetchTrimTest, LeadingAndTrailingSsdPagesAreTrimmed) {
   ctx.now = Seconds(1);  // admission writes done
   ctx.executor = executor_.get();
   pool_->PrefetchRange(100, 8, ctx);
-  // Pages 100,101 (leading) and 107 (trailing) came from the SSD; the
-  // middle 102..106 was one disk request of 5 pages.
+  // Pages 100,101 (leading) and 107 (trailing) came from the SSD; only the
+  // middle 102..106 went to the disk.
   EXPECT_EQ(pool_->stats().ssd_hits, 3);
-  EXPECT_EQ(disk_->reads_issued(), 1);
-  EXPECT_EQ(disk_->pages_read(), 5);
+  EXPECT_EQ(disk_->io_engine().stats().submitted, 5);
+  EXPECT_EQ(pool_->stats().disk_page_reads, 5);
+  EXPECT_EQ(disk_->reads_issued(), 0);
   for (PageId p = 100; p < 108; ++p) EXPECT_TRUE(pool_->Contains(p));
 }
 
@@ -102,10 +106,10 @@ TEST_F(PrefetchTrimTest, MiddleSsdCleanPagesComeFromTheDiskRead) {
   ctx.now = Seconds(1);
   ctx.executor = executor_.get();
   pool_->PrefetchRange(100, 8, ctx);
-  // No splitting: one 8-page disk read; the SSD copy was ignored (clean,
-  // identical content).
-  EXPECT_EQ(disk_->reads_issued(), 1);
-  EXPECT_EQ(disk_->pages_read(), 8);
+  // No splitting: all 8 pages came from the disk; the SSD copy was ignored
+  // (clean, identical content).
+  EXPECT_EQ(disk_->io_engine().stats().submitted, 8);
+  EXPECT_EQ(pool_->stats().disk_page_reads, 8);
   EXPECT_EQ(pool_->stats().ssd_hits, 0);
 }
 
@@ -140,7 +144,7 @@ TEST_F(PrefetchTrimTest, FullySsdResidentRangeNeedsNoDiskIo) {
   ctx.now = Seconds(1);
   ctx.executor = executor_.get();
   pool_->PrefetchRange(100, 8, ctx);
-  EXPECT_EQ(disk_->reads_issued(), 0);
+  EXPECT_EQ(disk_->io_engine().stats().submitted, 0);
   EXPECT_EQ(pool_->stats().ssd_hits, 8);
 }
 

@@ -64,10 +64,10 @@ class WriteCountingDevice : public StorageDevice {
 
 class FlushRetryTest : public ::testing::Test {
  protected:
-  // The checkpoint drain writes through engine -> counter -> fault -> disk;
-  // the pool's ordinary miss reads go through the DiskManager straight to
-  // the disk, so the scripted fault-op indices below count engine writes
-  // only.
+  // Every disk I/O goes DiskManager -> counter -> fault -> disk: the
+  // checkpoint drain through the manager's engine, the pool's miss reads
+  // through its blocking path. The scripted fault-op indices below
+  // therefore count the warm-up read too.
   void Build(const FaultPlan& plan) {
     disk_dev_ = std::make_unique<SimDevice>(
         256, kPage, std::make_unique<HddModel>(HddParams{.page_bytes = kPage}));
@@ -84,14 +84,13 @@ class FlushRetryTest : public ::testing::Test {
     AsyncIoEngine::Options eng;
     eng.queue_depth = 4;  // drain window = 8 pages
     eng.retry_limit = kRetryLimit;
-    engine_ = std::make_unique<AsyncIoEngine>(counter_.get(), eng);
-    disk_ = std::make_unique<DiskManager>(disk_dev_.get());
+    disk_ = std::make_unique<DiskManager>(counter_.get(), eng);
     log_ = std::make_unique<LogManager>(log_dev_.get());
     BufferPool::Options opts;
     opts.num_frames = 16;
     opts.page_bytes = kPage;
     pool_ = std::make_unique<BufferPool>(opts, disk_.get(), log_.get(),
-                                         nullptr, engine_.get());
+                                         nullptr);
   }
 
   void DirtyPage(PageId pid, uint8_t value, IoContext& ctx) {
@@ -104,24 +103,25 @@ class FlushRetryTest : public ::testing::Test {
   std::unique_ptr<SimDevice> log_dev_;
   std::unique_ptr<FaultInjectingDevice> fault_;
   std::unique_ptr<WriteCountingDevice> counter_;
-  std::unique_ptr<AsyncIoEngine> engine_;
   std::unique_ptr<DiskManager> disk_;
   std::unique_ptr<LogManager> log_;
   std::unique_ptr<BufferPool> pool_;
 };
 
 TEST_F(FlushRetryTest, TransientEioRetriesThePageNotTheDrain) {
-  // Eight contiguous dirty pages drain as: four solo writes (they fill the
-  // depth-4 ring before anything stages) then one coalesced batch [4..7].
-  // Engine write ops at the fault device: 0..3 solo, 4 the batch. Fail the
-  // batch (op 4) and then the first split re-issue (op 5, page 4):
+  // Op 0 at the fault device is the warm-up read: the first miss expands
+  // to one 8-page read that brings in pages 0..7. The eight contiguous
+  // dirty pages then drain as four solo writes (they fill the depth-4 ring
+  // before anything stages) and one coalesced batch [4..7]: ops 1..4 solo,
+  // op 5 the batch. Fail the batch (op 5) and then the first split
+  // re-issue (op 6, page 4):
   //
   //   page 4:    batch + solo retry + solo retry = 3 writes (= retry limit)
   //   pages 5-7: batch + one solo re-issue       = 2 writes
   //   pages 0-3: untouched by the failure        = 1 write
   FaultPlan plan;
-  plan.scripted[4] = FaultKind::kTransientError;
   plan.scripted[5] = FaultKind::kTransientError;
+  plan.scripted[6] = FaultKind::kTransientError;
   Build(plan);
 
   IoContext ctx;
@@ -153,7 +153,7 @@ TEST_F(FlushRetryTest, TransientEioRetriesThePageNotTheDrain) {
   EXPECT_EQ(twice, 3);
   EXPECT_EQ(once, 4);
 
-  const AsyncIoEngine::Stats s = engine_->stats();
+  const AsyncIoEngine::Stats s = disk_->io_engine().stats();
   EXPECT_EQ(s.retries, 5);  // 4 split re-issues + 1 solo retry
   EXPECT_EQ(s.errors, 0);
   EXPECT_EQ(s.completed, 8);
@@ -182,7 +182,7 @@ TEST_F(FlushRetryTest, HealthyDrainWritesEveryPageExactlyOnce) {
   for (const auto& [pid, n] : counter_->writes()) {
     EXPECT_EQ(n, 1) << "page " << pid;
   }
-  EXPECT_EQ(engine_->stats().retries, 0);
+  EXPECT_EQ(disk_->io_engine().stats().retries, 0);
 }
 
 }  // namespace

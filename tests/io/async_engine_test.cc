@@ -2,15 +2,19 @@
 // queue-full backpressure, the fault-injected completion sweep (transient
 // EIO with split retry and bounded per-request re-issue, torn writes
 // surfacing at reap time, dead devices never retried), crash-reset
-// semantics for the volatile submission queue, and a threaded-backend
-// concurrent submit/reap stress for the TSan CI job.
+// semantics for the volatile submission queue, a threaded-backend
+// concurrent submit/reap stress, and Drain's wait on requests another
+// thread holds mid device call or mid callback. The TSan CI job runs this
+// file.
 
 #include "io/async_io_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -243,26 +247,6 @@ TEST(AsyncEngineTest, MaxCoalescedPagesBoundsTheBatch) {
 }
 
 // ----------------------------------------------------------- backpressure
-
-TEST(AsyncEngineTest, TrySubmitBackpressuresAtTwiceTheRingDepth) {
-  MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 2, .coalesce = false});
-  IoContext ctx = Ctx();
-  auto data = Fill(0x55);
-  // Unreaped completions pin ring slots; staged requests queue behind them.
-  // 2 issued + 2 staged = 4 outstanding = the TrySubmit bound.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_NE(engine.TrySubmit(WriteReq(PageId(i * 7), data), ctx), 0u)
-        << "submission " << i;
-  }
-  EXPECT_EQ(engine.TrySubmit(WriteReq(60, data), ctx), 0u);
-  EXPECT_GE(engine.stats().queue_full_waits, 1);
-  EXPECT_EQ(engine.stats().submitted, 4);
-  engine.Drain(ctx);
-  // Capacity frees once completions are reaped.
-  EXPECT_NE(engine.TrySubmit(WriteReq(60, data), ctx), 0u);
-  engine.Drain(ctx);
-}
 
 TEST(AsyncEngineTest, SubmitNeverDropsWhenTheQueueIsFull) {
   MemDevice dev(64, kPage);
@@ -546,6 +530,107 @@ TEST(AsyncEngineTest, ThreadedBackendDrainsOnDestruction) {
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(dev.IsMaterialized(PageId(i))) << "page " << i;
   }
+}
+
+// ------------------------------------------- cross-thread drain (TSan)
+
+// Thread A's Reap harvests the request thread B submitted and runs its
+// callback, which blocks. B's Drain must not return while that callback is
+// still running: the request is accepted and not yet delivered, so it is
+// outstanding even though no queue holds it any more.
+TEST(AsyncEngineTest, DrainWaitsForACallbackRunningOnAnotherThread) {
+  MemDevice dev(16, kPage);
+  AsyncIoEngine engine(&dev, {.queue_depth = 4});
+  auto data = Fill(0x31);
+
+  std::promise<void> entered;
+  std::future<void> entered_f = entered.get_future();
+  std::promise<void> release;
+  std::shared_future<void> release_f = release.get_future().share();
+  std::atomic<bool> callback_done{false};
+  AsyncIoRequest req = WriteReq(5, data);
+  req.on_complete = [&](const IoCompletion&) {
+    entered.set_value();
+    release_f.wait();
+    callback_done.store(true);
+  };
+  IoContext ctx_b = Ctx();
+  engine.Submit(req, ctx_b);
+
+  std::thread a([&] {
+    IoContext ctx = Ctx();
+    engine.Reap(1, kTimeMax, ctx);
+  });
+  entered_f.wait();
+  EXPECT_FALSE(engine.Idle());
+
+  std::atomic<bool> drained{false};
+  bool done_at_drain = false;
+  std::thread b([&] {
+    engine.Drain(ctx_b);
+    done_at_drain = callback_done.load();
+    drained.store(true);
+  });
+  // Ample time for a Drain that ignores the delivery window to return.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(drained.load()) << "Drain returned before the callback ran";
+  release.set_value();
+  a.join();
+  b.join();
+  EXPECT_TRUE(done_at_drain);
+  EXPECT_TRUE(engine.Idle());
+  EXPECT_EQ(engine.stats().completed, 1);
+}
+
+// A device whose writes block until released, so a test can hold a sim
+// Kick inside its device call.
+class GatedWriteDevice : public MemDevice {
+ public:
+  using MemDevice::MemDevice;
+
+  IoResult Write(uint64_t first_page, uint32_t num_pages,
+                 std::span<const uint8_t> data, Time now,
+                 bool charge) override {
+    in_write.set_value();
+    released.wait();
+    return MemDevice::Write(first_page, num_pages, data, now, charge);
+  }
+
+  std::promise<void> in_write;  // set once a write has entered the device
+  std::promise<void> open;      // set to let the blocked write finish
+  std::future<void> in_write_f{in_write.get_future()};
+  std::shared_future<void> released{open.get_future().share()};
+};
+
+// The sim backend issues a request inside Submit, with the engine latch
+// released around the device call. While that call runs the request is in
+// no queue, and a Drain on another thread must still wait for it.
+TEST(AsyncEngineTest, DrainWaitsForADeviceCallInProgressOnAnotherThread) {
+  GatedWriteDevice dev(16, kPage);
+  AsyncIoEngine engine(&dev, {.queue_depth = 4});
+  auto data = Fill(0x32);
+
+  std::thread submitter([&] {
+    IoContext ctx = Ctx();
+    engine.Submit(WriteReq(3, data), ctx);
+  });
+  dev.in_write_f.wait();
+  EXPECT_FALSE(engine.Idle());
+
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    IoContext ctx = Ctx();
+    engine.Drain(ctx);
+    drained.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(drained.load()) << "Drain returned mid device call";
+  dev.open.set_value();
+  submitter.join();
+  drainer.join();
+  EXPECT_TRUE(engine.Idle());
+  EXPECT_EQ(engine.stats().completed, 1);
+  EXPECT_TRUE(dev.IsMaterialized(3));
 }
 
 // ------------------------------------------------------------ deadlines

@@ -8,8 +8,6 @@
 //    appender threads plus a spinning reader must come out clean.
 //  * Group commit: concurrent CommitForce callers are batched by a leader —
 //    followers park and the device sees far fewer writes than commits.
-//  * The legacy A/B baseline (set_group_commit(false)) keeps the old
-//    one-write-per-flush behavior for bench_scaleout_threads comparisons.
 //  * TruncatePrefix bounds the buffered log: after a checkpoint the records
 //    below its redo horizon are released, while recovery and the torn-tail
 //    scan still see every record that matters (they run on the retained
@@ -105,22 +103,8 @@ TEST(WalGroupCommitTest, LeaderBatchesFollowerFlushes) {
   // Batching evidence: followers parked behind an in-flight batch instead
   // of issuing their own device write. With 8 threads committing
   // back-to-back this must happen many times; zero waits would mean every
-  // commit did its own write (the legacy behavior).
+  // commit did its own write.
   EXPECT_GT(log.flush_waits(), 0);
-}
-
-TEST(WalGroupCommitTest, LegacyModeStaysCorrect) {
-  MemDevice log_dev(1 << 14, kPage);
-  LogManager log(&log_dev);
-  log.set_group_commit(false);  // A/B baseline: write under the latch
-
-  IoContext ctx;
-  for (int i = 0; i < 100; ++i) {
-    log.AppendUpdate(static_cast<uint64_t>(i), static_cast<PageId>(i % 8), 0, {});
-    if (i % 10 == 9) log.CommitForce(ctx);
-  }
-  EXPECT_EQ(log.durable_lsn(), log.records_snapshot().back().lsn);
-  EXPECT_EQ(log.num_records(), 100);
 }
 
 // ------------------------------------------------------- truncation tests

@@ -24,11 +24,12 @@ applied over lock-scope nesting reconstructed from the source text:
                   and #define macro bodies.
   crash-point     Every function in the durability layers (src/buffer,
                   src/core, src/wal, src/engine, src/io) that performs a
-                  durable write (device Write*, WriteFrame, WritePage[s])
+                  durable write (device Write*, WriteFrame, WritePage)
                   must contain a TURBOBP_CRASH_POINT, so new durability
                   edges cannot dodge the crash-torture matrix.
-  async-io        No AsyncIoEngine entry point (Submit/TrySubmit/Reap/
-                  Drain on an engine-like receiver) while holding a
+  async-io        No AsyncIoEngine entry point (Submit/Reap/Drain on an
+                  engine-like receiver, including an accessor call such
+                  as disk_->io_engine().Submit) while holding a
                   kBufferPool, kBufferFrame, kSsdPartition or kSsdScrub
                   latch: completion callbacks re-enter the frame state
                   machine and take those latches on a fresh stack, so an
@@ -81,7 +82,7 @@ CRASH_POINT_DIRS = ("src/buffer", "src/core", "src/wal", "src/engine",
 
 # Method names that are blocking device I/O wherever they appear.
 IO_CALL_ANY_RECV = {
-    "ReadPage", "ReadPages", "WritePage", "WritePages",
+    "ReadPage", "ReadPages", "WritePage",
     "WriteFrame", "ReadFrame", "ReadFrameVerified",
     "FlushTo", "CommitForce",
 }
@@ -90,7 +91,7 @@ IO_CALL_ANY_RECV = {
 DEVICE_RECV = re.compile(r"^(?:\w*device\w*|base_|data_|disk_?|ssd_device_)$")
 
 # Durable-write calls for the crash-point rule (write side only).
-DURABLE_WRITE_ANY_RECV = {"WritePage", "WritePages", "WriteFrame"}
+DURABLE_WRITE_ANY_RECV = {"WritePage", "WriteFrame"}
 
 # AsyncIoEngine entry points (async-io rule): only through an engine-like
 # receiver, so unrelated Submit/Drain methods on other objects are not
@@ -98,8 +99,12 @@ DURABLE_WRITE_ANY_RECV = {"WritePage", "WritePages", "WriteFrame"}
 # latches, so calling into the engine while holding one deadlocks; the
 # scrub cursor latch is a declared leaf, so an engine call under it is a
 # discipline breach even though no callback takes it.
-ENGINE_CALLS = {"Submit", "TrySubmit", "Reap", "Drain"}
-ENGINE_RECV = re.compile(r"^\w*engine\w*$")
+ENGINE_CALLS = ("Submit", "Reap", "Drain")
+# The receiver is an engine-like name, optionally called as an accessor:
+# `engine.Drain(`, `io_engine_->Submit(`, `disk_->io_engine().Submit(`.
+ENGINE_CALL_RE = re.compile(
+    r"\b(\w*engine\w*)\s*(?:\(\s*\))?\s*(?:->|\.)\s*(" +
+    "|".join(ENGINE_CALLS) + r")\s*\(")
 ENGINE_FORBIDDEN = {"kBufferPool", "kBufferFrame", "kSsdPartition",
                     "kSsdScrub"}
 
@@ -112,7 +117,7 @@ LEAF_LATCHES = {"kSsdScrub"}
 
 # Functions whose IoResult/Status return must be consumed.
 RESULT_FNS_ANY_RECV = {
-    "ReadPage", "ReadPages", "WritePage", "WritePages",
+    "ReadPage", "ReadPages", "WritePage",
     "WriteFrame", "ReadFrame", "ReadFrameVerified",
 }
 RESULT_FNS_DEVICE_RECV = {"Read", "Write"}
@@ -538,20 +543,20 @@ class FileChecker:
         if "TURBOBP_CRASH_POINT" in stmt and fn_scope is not None:
             fn_scope.has_crash_point = True
 
+        for em in ENGINE_CALL_RE.finditer(stmt):
+            held_engine_forbidden = [
+                h for h in self.held_locks() if h.latch in ENGINE_FORBIDDEN]
+            if held_engine_forbidden:
+                h = held_engine_forbidden[0]
+                self._report(
+                    line, "async-io",
+                    f"AsyncIoEngine::{em.group(2)}() while holding {h.latch} "
+                    f"(acquired line {h.line}); engine completion "
+                    f"callbacks take that latch class on a fresh stack "
+                    f"-- release it before entering the engine")
+
         for cm in CALL_RE.finditer(stmt):
             recv, fn = cm.group(1), cm.group(2)
-            if fn in ENGINE_CALLS and recv and ENGINE_RECV.match(recv):
-                held_engine_forbidden = [
-                    h for h in self.held_locks()
-                    if h.latch in ENGINE_FORBIDDEN]
-                if held_engine_forbidden:
-                    h = held_engine_forbidden[0]
-                    self._report(
-                        line, "async-io",
-                        f"AsyncIoEngine::{fn}() while holding {h.latch} "
-                        f"(acquired line {h.line}); engine completion "
-                        f"callbacks take that latch class on a fresh stack "
-                        f"-- release it before entering the engine")
             is_io = fn in IO_CALL_ANY_RECV or (
                 fn in ("Read", "Write") and recv and DEVICE_RECV.match(recv))
             if not is_io:
