@@ -1,13 +1,10 @@
-// Chaos A/B: TPC-C throughput through an SSD fault storm, terminal
-// degradation (the old cliff: self_healing=false, one bad partition kills
-// the whole cache for good) versus the self-healing cache (per-partition
-// degradation, patrol scrub, canary re-admission, read deadlines + disk
-// hedging). The storm covers half the SSD's partitions for one minute
-// mid-run; the interesting numbers are the post-storm steady rate relative
-// to the pre-storm baseline (self-healing should recover >= 90%, terminal
-// should stay pinned near the noSSD floor) and the time from storm end to
-// the first bucket back at 90% of baseline. Evidence lands in
-// BENCH_chaos_degrade.json.
+// Chaos bench: TPC-C throughput through an SSD fault storm against the
+// self-healing cache (per-partition degradation, patrol scrub, canary
+// re-admission, read deadlines + disk hedging). The storm covers an eighth
+// of the SSD for one minute mid-run; the interesting numbers are the
+// post-storm steady rate relative to the pre-storm baseline (the cache
+// should recover >= 90%) and the time from storm end to the first bucket
+// back at 90% of baseline. Evidence lands in BENCH_chaos_degrade.json.
 //
 // The storm is availability faults only — transient errors, hung requests,
 // latency spikes — not at-rest corruption: under lazy cleaning a bit flip
@@ -31,11 +28,11 @@ struct ChaosOutcome {
   double storm_rate = 0;      // throughput while the storm runs
   double post_rate = 0;       // tail-window throughput after the storm
   double recover90_s = -1;    // storm end -> first bucket >= 90% baseline
-  bool terminal = false;      // cache ended the run in pass-through
+  bool degraded_at_end = false;  // every partition in pass-through
 };
 
-ChaosOutcome RunChaos(SsdDesign design, bool self_healing, Time duration,
-                      Time storm_begin, Time storm_end) {
+ChaosOutcome RunChaos(SsdDesign design, Time duration, Time storm_begin,
+                      Time storm_end) {
   const TpccConfig wl = bench::TpccForPages(16, bench::kTpccPages[0]);
   SystemConfig config =
       bench::BaseSystem(design, bench::kTpccPages[0], /*lc_lambda=*/0.5);
@@ -43,7 +40,6 @@ ChaosOutcome RunChaos(SsdDesign design, bool self_healing, Time duration,
   // Self-healing policy: small enough windows that the one-minute storm
   // degrades partitions and the post-storm quiet heals them within a few
   // buckets.
-  config.ssd_options.self_healing = self_healing;
   config.ssd_options.degrade_error_limit = 8;
   config.ssd_options.error_window = Seconds(5);
   config.ssd_options.recover_error_limit = 1;
@@ -111,7 +107,7 @@ ChaosOutcome RunChaos(SsdDesign design, bool self_healing, Time duration,
   Driver driver(&system, &workload, opts);
   ChaosOutcome out;
   out.r = driver.Run();
-  out.terminal = system.ssd_manager().degraded();
+  out.degraded_at_end = system.ssd_manager().degraded();
 
   // Driver-relative storm edges (the throughput series starts at the
   // driver's start, t0 after the absolute fault windows).
@@ -155,11 +151,10 @@ ChaosOutcome RunChaos(SsdDesign design, bool self_healing, Time duration,
   return out;
 }
 
-std::string OutcomeJson(const ChaosOutcome& o, bool self_healing,
-                        Time storm_begin, Time storm_end) {
+std::string OutcomeJson(const ChaosOutcome& o, Time storm_begin,
+                        Time storm_end) {
   std::string j = bench::ResultJson(o.r);
   j.pop_back();  // reopen the ResultJson object to append chaos fields
-  bench::JsonAdd(j, "self_healing", static_cast<int64_t>(self_healing));
   bench::JsonAdd(j, "storm_begin_s", ToSeconds(storm_begin));
   bench::JsonAdd(j, "storm_end_s", ToSeconds(storm_end));
   bench::JsonAdd(j, "baseline_rate", o.baseline_rate);
@@ -168,14 +163,15 @@ std::string OutcomeJson(const ChaosOutcome& o, bool self_healing,
   bench::JsonAdd(j, "post_over_baseline",
                  o.post_rate / std::max(1e-9, o.baseline_rate));
   bench::JsonAdd(j, "recover90_s", o.recover90_s);
-  bench::JsonAdd(j, "terminal_degraded", static_cast<int64_t>(o.terminal));
+  bench::JsonAdd(j, "terminal_degraded",
+                 static_cast<int64_t>(o.degraded_at_end));
   j += "}";
   return j;
 }
 
 void Run() {
   bench::PrintHeader(
-      "Chaos A/B: fault storm vs terminal degradation vs self-healing",
+      "Chaos: fault storm vs the self-healing SSD cache",
       "robustness extension (no paper figure): per-partition degradation, "
       "scrub & canary re-admission, I/O deadlines + hedged reads");
 
@@ -184,33 +180,26 @@ void Run() {
   const Time storm_end = storm_begin + duration / 8;
 
   std::vector<std::string> items;
-  TextTable table({"design", "mode", "baseline", "storm", "post", "post/base",
-                   "recover90 (s)", "terminal"});
+  TextTable table({"design", "baseline", "storm", "post", "post/base",
+                   "recover90 (s)", "degraded at end"});
   for (SsdDesign design :
        {SsdDesign::kDualWrite, SsdDesign::kLazyCleaning}) {
-    for (const bool self_healing : {false, true}) {
-      const ChaosOutcome o =
-          RunChaos(design, self_healing, duration, storm_begin, storm_end);
-      table.AddRow({ToString(design),
-                    self_healing ? "self-healing" : "terminal-cliff",
-                    TextTable::Fmt(o.baseline_rate, 1),
-                    TextTable::Fmt(o.storm_rate, 1),
-                    TextTable::Fmt(o.post_rate, 1),
-                    TextTable::Fmt(o.post_rate / std::max(1e-9,
-                                                          o.baseline_rate),
-                                   2),
-                    o.recover90_s < 0 ? "never"
-                                      : TextTable::Fmt(o.recover90_s, 0),
-                    o.terminal ? "yes" : "no"});
-      items.push_back(OutcomeJson(o, self_healing, storm_begin, storm_end));
-      std::fflush(stdout);
-    }
+    const ChaosOutcome o = RunChaos(design, duration, storm_begin, storm_end);
+    table.AddRow({ToString(design), TextTable::Fmt(o.baseline_rate, 1),
+                  TextTable::Fmt(o.storm_rate, 1),
+                  TextTable::Fmt(o.post_rate, 1),
+                  TextTable::Fmt(o.post_rate / std::max(1e-9, o.baseline_rate),
+                                 2),
+                  o.recover90_s < 0 ? "never"
+                                    : TextTable::Fmt(o.recover90_s, 0),
+                  o.degraded_at_end ? "yes" : "no"});
+    items.push_back(OutcomeJson(o, storm_begin, storm_end));
+    std::fflush(stdout);
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
-      "Read: the terminal-cliff rows never recover (post/base well under 1, "
-      "terminal=yes); the self-healing rows re-enable every partition and "
-      "return to >= 0.9x baseline — within a bucket for DW, after a cache "
+      "Read: the cache re-enables every partition the storm degraded and "
+      "returns to >= 0.9x baseline — within a bucket for DW, after a cache "
       "re-warm ramp for LC (the storm purge + salvage leaves LC refilling "
       "its working set from disk; quick mode ends mid-ramp).\n");
   bench::WriteJson("chaos_degrade", items);

@@ -1,22 +1,20 @@
 // Extension benchmark (the paper's Section 6 future work, sketched in
-// Section 4.1.2): reuse the SSD buffer pool's contents across a restart so
-// (a) LC checkpoints no longer drain the SSD's dirty pages, and (b) a
-// restart re-attaches the SSD's contents instead of re-warming a cold
-// cache — attacking the two pain points the paper calls out ("with very
-// large SSDs this can dramatically increase the time required to perform a
-// checkpoint"; "it takes a very long time to warm-up the SSD ... the
-// ramp-up time before reaching peak throughput is very long").
+// Section 4.1.2): reuse the SSD buffer pool's contents across a restart, so
+// a restart re-attaches the SSD's contents instead of re-warming a cold
+// cache — attacking the pain point the paper calls out ("it takes a very
+// long time to warm-up the SSD ... the ramp-up time before reaching peak
+// throughput is very long").
 //
-// Three variants on TPC-C:
+// Two variants on TPC-C:
 //   classic     LC, cold SSD at restart (every published design)
-//   ssd-table   LC + SSD buffer table in the checkpoint record
 //   persistent  LC + crash-consistent on-SSD metadata journal
-//                  (SystemConfig::persistent_ssd_cache, RecoverPersistent)
+//                  (SystemConfig::persistent_ssd_cache)
 // comparing checkpoint duration, restart recovery work, SSD warmth after
 // restart, early post-restart throughput, and — the headline Figure 6
 // metric — the virtual time until post-restart throughput reaches its
-// peak. Acceptance: the persistent journal's time-to-peak is at most 25%
-// of the classic cold restart's.
+// peak. Both variants drain the SSD's dirty pages at the checkpoint.
+// Acceptance: the persistent journal's time-to-peak is at most 25% of the
+// classic cold restart's.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,30 +26,15 @@
 namespace turbobp {
 namespace {
 
-enum class Mode { kClassic, kSsdTable, kPersistent };
+enum class Mode { kClassic, kPersistent };
 
 const char* ModeName(Mode m) {
-  switch (m) {
-    case Mode::kClassic:
-      return "LC classic (cold restart)";
-    case Mode::kSsdTable:
-      return "LC + ssd-table checkpoint";
-    case Mode::kPersistent:
-      return "LC + persistent journal";
-  }
-  return "?";
+  return m == Mode::kClassic ? "LC classic (cold restart)"
+                             : "LC + persistent journal";
 }
 
 const char* ModeKey(Mode m) {
-  switch (m) {
-    case Mode::kClassic:
-      return "classic_cold";
-    case Mode::kSsdTable:
-      return "ssd_table_checkpoint";
-    case Mode::kPersistent:
-      return "persistent_journal";
-  }
-  return "?";
+  return m == Mode::kClassic ? "classic_cold" : "persistent_journal";
 }
 
 struct Outcome {
@@ -98,9 +81,6 @@ Outcome RunVariant(Mode mode, const TpccConfig& config, uint64_t db_pages) {
   DbSystem system(sys_config);
   Database db(&system);
   TpccWorkload::Populate(&db, config);
-  if (mode == Mode::kSsdTable) {
-    system.checkpoint().EnableSsdTableCheckpoints();
-  }
 
   const Time warm = bench::ScaledDuration(Seconds(180));
   {
@@ -122,25 +102,9 @@ Outcome RunVariant(Mode mode, const TpccConfig& config, uint64_t db_pages) {
   system.executor().RunUntil(std::max(ckpt_end, system.executor().now()));
   system.Crash();
   IoContext rctx = system.MakeContext();
-  switch (mode) {
-    case Mode::kClassic:
-      system.Recover(rctx);  // cold SSD, as in all published designs
-      out.frames_after_restart = 0;
-      break;
-    case Mode::kSsdTable: {
-      const auto [stats, restored] = system.RecoverWithSsdTable(rctx);
-      (void)stats;
-      out.frames_after_restart = restored;
-      break;
-    }
-    case Mode::kPersistent: {
-      const auto [stats, pstats] = system.RecoverPersistent(rctx);
-      (void)stats;
-      out.pstats = pstats;
-      out.frames_after_restart = pstats.restored;
-      break;
-    }
-  }
+  // Classic: cold SSD, as in all published designs (pstats stays empty).
+  system.Recover(rctx, &out.pstats);
+  out.frames_after_restart = out.pstats.restored;
   system.executor().RunUntil(std::max(rctx.now, system.executor().now()));
 
   // Post-restart run, long enough for the cold cache to re-warm, so the
@@ -184,45 +148,36 @@ std::string OutcomeJson(Mode mode, const Outcome& o) {
 
 void Run() {
   bench::PrintHeader(
-      "Extension: warm SSD restart (ssd-table ckpt vs persistent journal)",
-      "goal: cheap checkpoints under LC + warm SSD at restart (no ramp-up)");
+      "Extension: warm SSD restart (classic vs persistent journal)",
+      "goal: warm SSD at restart under LC (no ramp-up)");
 
   const TpccConfig config = bench::TpccForPages(32, bench::kTpccPages[1]);
   const Outcome classic =
       RunVariant(Mode::kClassic, config, bench::kTpccPages[1]);
   std::fflush(stdout);
-  const Outcome ext =
-      RunVariant(Mode::kSsdTable, config, bench::kTpccPages[1]);
-  std::fflush(stdout);
   const Outcome pers =
       RunVariant(Mode::kPersistent, config, bench::kTpccPages[1]);
 
   TextTable table({"metric", ModeName(Mode::kClassic),
-                   ModeName(Mode::kSsdTable), ModeName(Mode::kPersistent)});
+                   ModeName(Mode::kPersistent)});
   table.AddRow({"checkpoint duration (s)",
                 TextTable::Fmt(ToSeconds(classic.checkpoint_duration), 2),
-                TextTable::Fmt(ToSeconds(ext.checkpoint_duration), 2),
                 TextTable::Fmt(ToSeconds(pers.checkpoint_duration), 2)});
   table.AddRow({"SSD pages drained at checkpoint",
                 TextTable::Fmt(classic.ssd_pages_drained),
-                TextTable::Fmt(ext.ssd_pages_drained),
                 TextTable::Fmt(pers.ssd_pages_drained)});
   table.AddRow(
       {"SSD frames live after restart",
        TextTable::Fmt(static_cast<int64_t>(classic.frames_after_restart)),
-       TextTable::Fmt(static_cast<int64_t>(ext.frames_after_restart)),
        TextTable::Fmt(static_cast<int64_t>(pers.frames_after_restart))});
   table.AddRow({"post-restart tpmC (window avg, ramp incl.)",
                 TextTable::Fmt(classic.early_tpmc, 0),
-                TextTable::Fmt(ext.early_tpmc, 0),
                 TextTable::Fmt(pers.early_tpmc, 0)});
   table.AddRow({"post-restart SSD hit rate",
                 TextTable::Fmt(classic.ssd_hit_rate, 2),
-                TextTable::Fmt(ext.ssd_hit_rate, 2),
                 TextTable::Fmt(pers.ssd_hit_rate, 2)});
   table.AddRow({"time to 90% of peak throughput (s)",
                 TextTable::Fmt(ToSeconds(classic.time_to_peak), 1),
-                TextTable::Fmt(ToSeconds(ext.time_to_peak), 1),
                 TextTable::Fmt(ToSeconds(pers.time_to_peak), 1)});
   std::printf("%s\n", table.ToString().c_str());
 
@@ -235,14 +190,14 @@ void Run() {
       "%.1fs cold (ratio %.2f, acceptance <= 0.25: %s).\n",
       warm_ttp, cold_ttp, ratio, ramp_ok ? "PASS" : "FAIL");
   std::printf(
-      "Expected shape: both warm variants skip the SSD drain at checkpoint\n"
-      "and start the restart window with a warm SSD — the ramp-up the\n"
-      "paper's Figure 6 curves spend hours on disappears. The persistent\n"
-      "journal additionally survives crashes with no checkpoint at all.\n\n");
+      "Expected shape: both variants drain the SSD's dirty pages at the\n"
+      "checkpoint, so its duration is about the same; the persistent journal\n"
+      "then starts the restart window with a warm SSD — the ramp-up the\n"
+      "paper's Figure 6 curves spend hours on disappears. The journal also\n"
+      "survives crashes with no checkpoint at all.\n\n");
 
   std::vector<std::string> items;
   items.push_back(OutcomeJson(Mode::kClassic, classic));
-  items.push_back(OutcomeJson(Mode::kSsdTable, ext));
   items.push_back(OutcomeJson(Mode::kPersistent, pers));
   {
     std::string j = "{";

@@ -228,8 +228,8 @@ Time LazyCleaningCache::CleanOneGroup(IoContext& ctx) {
       continue;
     }
     r.state = SsdFrameState::kClean;
-    // Track the staged image's content LSN: the restart extension and the
-    // metadata journal verify a restored frame's on-page header against it.
+    // Track the staged image's content LSN: the metadata journal and the
+    // warm restart verify a restored frame's on-page header against it.
     r.page_lsn = staged_lsn;
     dirty_frames_.fetch_sub(1);
     part.heap.DirtyToClean(rec);

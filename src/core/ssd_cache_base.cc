@@ -333,8 +333,8 @@ bool SsdCacheBase::AdmitPageImpl(PageId pid, std::span<const uint8_t> data,
   r.page_id = pid;
   r.kind = kind;
   // Record the page's LSN even for clean admissions (read from the page
-  // header): the restart extension needs it to prove a restored copy is
-  // still the newest version of the page.
+  // header): a warm restart needs it to prove a restored copy is still the
+  // newest version of the page.
   r.page_lsn = page_lsn != kInvalidLsn
                    ? page_lsn
                    : PageView(const_cast<uint8_t*>(data.data()),
@@ -529,7 +529,6 @@ int64_t SsdCacheBase::WindowErrors(const Partition& part, Time now) const {
 }
 
 void SsdCacheBase::MaybeDegrade(IoContext& ctx) {
-  if (degraded_.load(std::memory_order_acquire)) return;
   // Cheap hot-path early-out: nothing to scan unless an error landed since
   // the last sweep.
   const int64_t events = device_errors_.load(std::memory_order_relaxed);
@@ -540,23 +539,7 @@ void SsdCacheBase::MaybeDegrade(IoContext& ctx) {
     if (part.degraded.load(std::memory_order_acquire)) continue;
     if (WindowErrors(part, ctx.now) < options_.degrade_error_limit) continue;
     DegradePartition(part, ctx);
-    if (degraded_.load(std::memory_order_acquire)) return;  // kill switch
   }
-}
-
-void SsdCacheBase::EnterDegradedMode(IoContext& ctx) {
-  bool expected = false;
-  if (!degrade_entered_.compare_exchange_strong(expected, true,
-                                                std::memory_order_acq_rel)) {
-    return;
-  }
-  // Take every partition through the per-partition salvage+purge+publish
-  // sequence while the device may still answer. The terminal flag is
-  // raised only afterwards: a reader that observes it skips every latch
-  // and falls back to disk, so it must never be visible while a dirty
-  // frame (the only current copy of its page) still sits in a table.
-  for (auto& partp : partitions_) DegradePartition(*partp, ctx);
-  degraded_.store(true, std::memory_order_release);
 }
 
 void SsdCacheBase::DegradePartition(Partition& part, IoContext& ctx) {
@@ -582,11 +565,6 @@ void SsdCacheBase::DegradePartition(Partition& part, IoContext& ctx) {
   degraded_partitions_.fetch_add(1, std::memory_order_acq_rel);
   Counters::Bump(counters_.partitions_degraded);
   MaintainJournal(ctx);
-  if (!options_.self_healing) {
-    // The old terminal cliff: the first partition failure takes the whole
-    // cache down for good.
-    EnterDegradedMode(ctx);
-  }
 }
 
 void SsdCacheBase::PurgePartitionLocked(Partition& part) {
@@ -681,10 +659,8 @@ void SsdCacheBase::TryHealPartition(Partition& part, IoContext& ctx) {
 
 int SsdCacheBase::ScrubTick(IoContext& ctx) {
   MaybeDegrade(ctx);
-  // Terminal kill switch only — NOT the derived all-partitions predicate:
-  // canary probes must keep running when every partition is degraded, or
-  // nothing would ever heal.
-  if (degraded_.load(std::memory_order_acquire)) return 0;
+  // No degraded() early-out: canary probes must keep running when every
+  // partition is degraded, or nothing would ever heal.
   int verified = 0;
   if (!partitions_.empty()) {
     std::vector<uint8_t> buf(ssd_device_->page_bytes());
@@ -789,9 +765,8 @@ void SsdCacheBase::DegradePartitionAt(size_t index, IoContext& ctx) {
 }
 
 void SsdCacheBase::ScrubStep() {
-  // Terminal degradation stops the actor for good (matching the old cliff);
-  // per-partition degradation keeps it running — that is the healer.
-  if (degraded_.load(std::memory_order_acquire)) return;
+  // Runs through every degradation (that is the healer) until
+  // StopBackground() or the cache's destruction.
   IoContext ctx;
   ctx.now = executor_->now();
   ctx.executor = executor_;
@@ -851,19 +826,11 @@ std::vector<SsdManager::CheckpointEntry> SsdCacheBase::SnapshotForCheckpoint()
   return entries;
 }
 
-size_t SsdCacheBase::RestoreFromCheckpoint(
-    const std::vector<CheckpointEntry>& entries, IoContext& ctx,
-    const std::unordered_map<PageId, Lsn>* max_update_lsn,
-    std::unordered_map<PageId, Lsn>* covered_lsn) {
-  return RestoreEntries(entries, ctx, max_update_lsn, covered_lsn, nullptr);
-}
-
-size_t SsdCacheBase::RestoreEntries(
+void SsdCacheBase::RestoreEntries(
     const std::vector<CheckpointEntry>& entries, IoContext& ctx,
     const std::unordered_map<PageId, Lsn>* max_update_lsn,
     std::unordered_map<PageId, Lsn>* covered_lsn,
-    PersistentRestoreStats* stats) {
-  size_t restored = 0;
+    PersistentRestoreStats& stats) {
   std::vector<uint8_t> buf(ssd_device_->page_bytes());
   std::vector<uint8_t> disk_buf(disk_->page_bytes());
   for (const CheckpointEntry& e : entries) {
@@ -883,8 +850,8 @@ size_t SsdCacheBase::RestoreEntries(
     }
     for (int32_t other : popped) part.table.PushFree(other);
     if (got != rec) continue;  // record occupied or quarantined: stale entry
-    // Trust but verify: the frame may have been recycled after the snapshot
-    // was taken, or damaged while the cache was down. Reads are charged
+    // Trust but verify: the frame may have been recycled after its journal
+    // record was written, or damaged while the cache was down. Reads are charged
     // (restart-time work). A raw read distinguishes the two cheaply: a
     // valid checksum naming a different page/LSN is a *recycled* frame
     // (healthy cells, silent drop); only a failed read or bad checksum is
@@ -913,36 +880,31 @@ size_t SsdCacheBase::RestoreEntries(
         // this path used to have was silently dropping such frames back
         // onto the free list, re-exposing the bad cells to new admissions.
         QuarantineRestoredFrame(part, rec);
-        if (stats != nullptr) ++stats->dropped_verification;
+        ++stats.dropped_verification;
         continue;
       }
       if (!vs.ok()) {  // device error past bounded retry
         part.table.PushFree(rec);
-        if (stats != nullptr) ++stats->dropped_verification;
+        ++stats.dropped_verification;
         continue;
       }
     }
     const PageView v(buf.data(), ssd_device_->page_bytes());
     if (v.header().page_id != e.page_id || v.header().lsn != e.page_lsn) {
       // The frame's self-identifying header does not back the entry's
-      // claim. Under a checkpoint-snapshot restore that is the expected
-      // recycled-frame case (silent); under the journal path it is a
-      // verification drop and counted as such.
+      // claim: a verification drop.
       part.table.PushFree(rec);
-      if (stats != nullptr) ++stats->dropped_verification;
+      ++stats.dropped_verification;
       continue;
     }
-    if (stats != nullptr && !e.dirty) {
-      // Journal path only: a "clean" journal entry can predate the disk
-      // write of the same image (write-through designs journal the SSD
+    if (!e.dirty) {
+      // A "clean" journal entry can predate the disk write of the same image (write-through designs journal the SSD
       // admission before the buffer pool's disk write lands). Attaching —
       // and especially covering — such an entry would let redo skip an
       // update the disk never received, and a clean frame may later be
       // evicted without write-back. Only a disk copy at least as new as the
       // entry proves the "clean" claim; anything else drops the entry and
-      // redo rebuilds the page from the disk base. (Checkpoint-snapshot
-      // restores skip this: their entries were taken with the disk drained
-      // current.)
+      // redo rebuilds the page from the disk base.
       const Status ds = disk_->ReadPage(e.page_id, disk_buf, ctx);
       bool disk_current = false;
       if (ds.ok()) {
@@ -953,7 +915,7 @@ size_t SsdCacheBase::RestoreEntries(
       }
       if (!disk_current) {
         part.table.PushFree(rec);
-        ++stats->dropped_verification;
+        ++stats.dropped_verification;
         continue;
       }
     }
@@ -976,7 +938,7 @@ size_t SsdCacheBase::RestoreEntries(
         // restore) rolls the page forward from it. A crash before this
         // write replays the same restore path, so the reseed is idempotent.
         TURBOBP_CRASH_POINT("ssd/restore-reseed");
-        if (stats != nullptr) ++stats->reseeded;
+        ++stats.reseeded;
       }
       if (covered_lsn != nullptr) {
         Lsn& cl = (*covered_lsn)[e.page_id];
@@ -988,9 +950,8 @@ size_t SsdCacheBase::RestoreEntries(
     r.page_id = e.page_id;
     r.kind = AccessKind::kRandom;
     r.page_lsn = e.page_lsn;
-    // The caller has already filtered out entries superseded by later
-    // durable updates, so each surviving copy is the newest version of its
-    // page. Dirty entries stay dirty: the SSD still holds the only current
+    // Superseded entries were handled above, so each surviving copy is the
+    // newest version of its page. Dirty entries stay dirty: the SSD still holds the only current
     // copy, the redo pass skips the records it covers, and the cleaner
     // carries on copying it to disk as before the crash.
     r.state = e.dirty ? SsdFrameState::kDirty : SsdFrameState::kClean;
@@ -1010,17 +971,13 @@ size_t SsdCacheBase::RestoreEntries(
       Lsn& cl = (*covered_lsn)[e.page_id];
       cl = std::max(cl, e.page_lsn);
     }
-    if (stats != nullptr) {
-      ++stats->restored;
-      if (e.dirty && e.page_lsn != kInvalidLsn &&
-          (stats->min_dirty_lsn == kInvalidLsn ||
-           e.page_lsn < stats->min_dirty_lsn)) {
-        stats->min_dirty_lsn = e.page_lsn;
-      }
+    ++stats.restored;
+    if (e.dirty && e.page_lsn != kInvalidLsn &&
+        (stats.min_dirty_lsn == kInvalidLsn ||
+         e.page_lsn < stats.min_dirty_lsn)) {
+      stats.min_dirty_lsn = e.page_lsn;
     }
-    ++restored;
   }
-  return restored;
 }
 
 std::vector<SsdManager::CheckpointEntry> SsdCacheBase::LazyScanEntries(
@@ -1144,7 +1101,7 @@ bool SsdCacheBase::RecoverPersistentState(
   // avoids staging a record per re-attached frame — the re-seal below
   // snapshots the final table in one sweep instead.
   journal_suppress_.store(true, std::memory_order_release);
-  RestoreEntries(entries, ctx, max_update_lsn, covered_lsn, &st);
+  RestoreEntries(entries, ctx, max_update_lsn, covered_lsn, st);
   journal_suppress_.store(false, std::memory_order_release);
   const IoResult c = journal_->Compact(ctx);
   if (!c.ok()) {

@@ -44,10 +44,7 @@ struct SsdCacheOptions {
   // with canary writes once it has been error-free for quiet_window; it is
   // re-enabled only while its window budget is at or below
   // recover_error_limit (hysteresis: recover threshold << degrade
-  // threshold). self_healing=false restores the old terminal cliff: the
-  // first partition degradation takes the whole cache down for good
-  // (bench_chaos_degrade's A/B baseline).
-  bool self_healing = true;
+  // threshold).
   int64_t recover_error_limit = 1;
   Time quiet_window = Seconds(5);
   // Patrol scrubber: ScrubTick verifies up to scrub_frames_per_tick frames
@@ -91,13 +88,8 @@ class SsdCacheBase : public SsdManager {
                     IoContext& ctx) override;
   SsdManagerStats stats() const override;
 
-  // Restart extension (Section 6 future work): the SSD buffer table can be
-  // snapshotted into a checkpoint record and re-attached after a restart.
+  // Every in-service frame of the buffer table (journal compaction source).
   std::vector<CheckpointEntry> SnapshotForCheckpoint() const override;
-  size_t RestoreFromCheckpoint(
-      const std::vector<CheckpointEntry>& entries, IoContext& ctx,
-      const std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,
-      std::unordered_map<PageId, Lsn>* covered_lsn = nullptr) override;
 
   // Persistent cache (options().persistent_cache): warm restart from the
   // metadata journal + frame headers, reconciled against the WAL durable
@@ -123,18 +115,20 @@ class SsdCacheBase : public SsdManager {
 
   // --- graceful degradation (survive a flaky or dying SSD) ------------------
 
-  // True once the whole cache behaves like NoSsdManager: either the global
-  // kill switch fired (Degrade / self_healing=false) or every partition is
-  // independently degraded.
+  // True while the whole cache behaves like NoSsdManager: every partition
+  // is in pass-through.
   bool degraded() const override {
-    return degraded_.load(std::memory_order_acquire) ||
-           degraded_partitions_.load(std::memory_order_acquire) >=
-               static_cast<int>(partitions_.size());
+    return degraded_partitions_.load(std::memory_order_acquire) >=
+           static_cast<int>(partitions_.size());
   }
 
-  // Forces whole-cache degradation now (tests/operator action); normally
+  // Degrades every partition now (tests/operator action); normally
   // degradation is per-partition, triggered by the partition's error budget.
-  void Degrade(IoContext& ctx) { EnterDegradedMode(ctx); }
+  // Not terminal: the patrol scrubber heals each partition like any other.
+  void Degrade(IoContext& ctx)
+      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kSsdPartition)) {
+    for (auto& partp : partitions_) DegradePartition(*partp, ctx);
+  }
 
   // --- self-healing (scrub, canary probes, re-admission) --------------------
 
@@ -299,13 +293,6 @@ class SsdCacheBase : public SsdManager {
   // whole salvage+purge+publish sequence.
   void MaybeDegrade(IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kSsdPartition));
-  // Whole-cache kill switch (Degrade(), self_healing=false). Takes every
-  // partition through the per-partition salvage+purge+publish sequence
-  // first, then raises the terminal flag: readers skip all latches once
-  // they observe it, so it must not become visible while any partition
-  // still holds a newer-than-disk copy. Terminal: nothing re-enables.
-  void EnterDegradedMode(IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kSsdPartition));
   // Flips one partition into pass-through. Under ONE hold of part.mu:
   // salvage hook, then purge (every in-service frame released and
   // journal-erased — pass-through writes go to disk, so stale frames must
@@ -376,16 +363,10 @@ class SsdCacheBase : public SsdManager {
 
   // Degradation state. device_errors_ counts every failed SSD attempt
   // (lifetime, for stats and the cheap has-anything-changed check in
-  // MaybeDegrade); degraded_ is the terminal whole-cache kill switch;
-  // degraded_partitions_ mirrors the per-partition flags so degraded() and
-  // the auditor need no O(partitions) scan.
+  // MaybeDegrade); degraded_partitions_ mirrors the per-partition flags so
+  // degraded() and the auditor need no O(partitions) scan.
   std::atomic<int64_t> device_errors_{0};
   std::atomic<int64_t> degrade_scanned_{0};  // device_errors_ at last scan
-  std::atomic<bool> degraded_{false};
-  // Guard for EnterDegradedMode: degraded_ itself is published only after
-  // every partition is salvaged and purged, so it cannot double as the
-  // sequence's mutual exclusion.
-  std::atomic<bool> degrade_entered_{false};
   std::atomic<int64_t> degraded_partitions_{0};
 
   // Patrol cursor of the background scrubber. scrub_mu_ is held only for
@@ -469,14 +450,14 @@ class SsdCacheBase : public SsdManager {
   // Self-scheduling executor actor driving ScrubTick every scrub_interval.
   void ScrubStep();
 
-  // Shared restore engine behind RestoreFromCheckpoint and
-  // RecoverPersistentState; `stats` (optional) receives the drop/reseed
-  // breakdown.
-  size_t RestoreEntries(const std::vector<CheckpointEntry>& entries,
-                        IoContext& ctx,
-                        const std::unordered_map<PageId, Lsn>* max_update_lsn,
-                        std::unordered_map<PageId, Lsn>* covered_lsn,
-                        PersistentRestoreStats* stats);
+  // RecoverPersistentState's re-attach step: verifies each entry against
+  // its device frame and the disk, and restores, reseeds or drops it;
+  // `stats` receives the restore/drop/reseed breakdown.
+  void RestoreEntries(const std::vector<CheckpointEntry>& entries,
+                      IoContext& ctx,
+                      const std::unordered_map<PageId, Lsn>* max_update_lsn,
+                      std::unordered_map<PageId, Lsn>* covered_lsn,
+                      PersistentRestoreStats& stats);
 
   // Lazy-scan fallback for a torn/stale/absent journal: reads every frame
   // NOT claimed by `known` (may be null: scan everything), keeps the ones

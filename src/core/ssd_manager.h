@@ -174,36 +174,21 @@ class SsdManager {
     return IoResult{ctx.now, Status::Ok()};
   }
 
-  // --- restart extension (the paper's Section 6 future work) ----------------
+  // --- buffer-table snapshot -------------------------------------------------
 
-  // Snapshot of the SSD buffer table for inclusion in a checkpoint record:
-  // with it, a checkpoint need not drain the SSD's dirty pages, and a
-  // restart can re-attach the (persistent) SSD contents instead of warming
-  // a cold cache. Entries are verified against the device at restore time,
-  // so frames recycled after the snapshot are simply dropped.
+  // One in-service frame of the SSD buffer table: the unit the persistent
+  // cache journals and re-attaches at restart.
   struct CheckpointEntry {
     PageId page_id = kInvalidPageId;
     uint64_t frame = 0;  // device frame holding the copy
     bool dirty = false;
     Lsn page_lsn = kInvalidLsn;
   };
+  // Every in-service (clean or dirty) frame: the journal compacts from it.
   virtual std::vector<CheckpointEntry> SnapshotForCheckpoint() const {
     return {};
   }
-  // Re-attaches snapshot entries whose device frames still hold the claimed
-  // page (header id + checksum + LSN verified) — "using the contents of
-  // the SSD during the recovery task" (Section 4.1.2). Returns entries
-  // restored into the cache.
-  //
-  // `max_update_lsn` (per-page highest durable update LSN) splits verified
-  // entries three ways:
-  //   * not superseded            -> restored into the cache (dirty stays
-  //     dirty; the cleaner resumes), covered through its LSN;
-  //   * superseded + dirty        -> its content is copied to the disk once
-  //     (seeding the redo base), covered through its LSN, not cached;
-  //   * superseded + clean        -> the disk already has it; covered only.
-  // `covered_lsn` receives, per page, the LSN up to which redo may skip
-  // update records entirely.
+  // Kept only because perfbench's TracingSsdManager decorator overrides it.
   virtual size_t RestoreFromCheckpoint(
       const std::vector<CheckpointEntry>& entries, IoContext& ctx,
       const std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,
@@ -216,10 +201,21 @@ class SsdManager {
   // Warm restart over a surviving SSD device: recovers the metadata journal,
   // verifies each claimed mapping against the frame's self-identifying page
   // header, reconciles against the WAL durable `horizon` (no frame whose LSN
-  // exceeds it is ever re-attached) and re-attaches the survivors. Falls
-  // back to a lazy scan of the frame area when the journal is torn, stale
-  // or absent. Returns false when the manager does not support (or was not
-  // configured for) persistence.
+  // exceeds it is ever re-attached) and re-attaches the survivors — "using
+  // the contents of the SSD during the recovery task" (Section 4.1.2).
+  // Falls back to a lazy scan of the frame area when the journal is torn,
+  // stale or absent. Returns false when the manager does not support (or
+  // was not configured for) persistence.
+  //
+  // `max_update_lsn` (per-page highest durable update LSN) splits verified
+  // entries three ways:
+  //   * not superseded            -> restored into the cache (dirty stays
+  //     dirty; the cleaner resumes), covered through its LSN;
+  //   * superseded + dirty        -> its content is copied to the disk once
+  //     (seeding the redo base), covered through its LSN, not cached;
+  //   * superseded + clean        -> the disk already has it; covered only.
+  // `covered_lsn` receives, per page, the LSN up to which redo may skip
+  // update records entirely.
   virtual bool RecoverPersistentState(
       Lsn horizon, IoContext& ctx,
       const std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,
@@ -237,8 +233,8 @@ class SsdManager {
 
   virtual SsdManagerStats stats() const { return {}; }
 
-  // True once the manager has given up on the SSD and behaves like
-  // NoSsdManager (graceful degradation after repeated device errors).
+  // True while the manager behaves like NoSsdManager: every partition of
+  // the cache is in pass-through after repeated device errors.
   virtual bool degraded() const { return false; }
 
   // Stops self-rescheduling background actors (the patrol scrubber) so a

@@ -1,5 +1,7 @@
 #include "engine/database.h"
 
+#include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "common/status.h"
@@ -83,9 +85,9 @@ DbSystem::DbSystem(const SystemConfig& config)
       checkpoint_(std::make_unique<CheckpointManager>(
           buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {
   if (config_.persistent_ssd_cache) {
-    // RecoverPersistent scans the full durable log to judge restored SSD
-    // frames; checkpoint-driven WAL prefix truncation would hide updates
-    // older than the last checkpoint from that scan.
+    // Recover scans the full durable log to judge restored SSD frames;
+    // checkpoint-driven WAL prefix truncation would hide updates older than
+    // the last checkpoint from that scan.
     checkpoint_->set_wal_truncation(false);
   }
 }
@@ -96,9 +98,10 @@ void DbSystem::Crash() {
   disk_manager_.io_engine().Reset();
   buffer_pool_->Reset();
   log_.DropUnflushed();
-  // A restart reformats the SSD buffer pool: no design to date reuses its
-  // contents across restarts (paper, Section 6). The fault wrapper (and its
-  // op clock / offline state) survives the restart: a dying SSD stays dying.
+  // The SSD manager restarts empty over the surviving device: the classic
+  // designs reformat it (paper, Section 6), the persistent cache re-attaches
+  // its journaled contents in Recover. The fault wrapper (and its op clock /
+  // offline state) survives the restart: a dying SSD stays dying.
   ssd_manager_ = BuildSsdManager(config_,
                                  ssd_fault_device_ != nullptr
                                      ? static_cast<StorageDevice*>(
@@ -109,66 +112,37 @@ void DbSystem::Crash() {
   checkpoint_->set_ssd_manager(ssd_manager_.get());
 }
 
-RecoveryStats DbSystem::Recover(IoContext& ctx) {
-  RecoveryManager recovery(&disk_manager_, &log_);
-  return recovery.Recover(ctx);
-}
-
-std::pair<RecoveryStats, size_t> DbSystem::RecoverWithSsdTable(IoContext& ctx) {
-  RecoveryManager recovery(&disk_manager_, &log_);
-  const SsdTableSnapshot* snapshot = checkpoint_->latest_snapshot();
-  if (snapshot == nullptr) {
-    return {recovery.Recover(ctx), 0};
-  }
-  // Phase 1 — restore the SSD first. Filter snapshot entries against the
-  // durable log (an in-memory scan, no I/O): an entry survives only if no
-  // durable update postdates its snapshot-time page LSN, i.e. it is still
-  // the newest version of its page.
-  std::unordered_map<PageId, Lsn> max_update_lsn;
-  for (const LogRecord& rec : log_.records_for_recovery()) {
-    if (!log_.IsDurable(rec.lsn)) break;
-    if (rec.type != LogRecordType::kUpdate) continue;
-    Lsn& maxl = max_update_lsn[rec.page_id];
-    maxl = std::max(maxl, rec.lsn);
-  }
-  std::unordered_map<PageId, Lsn> covered;
-  const size_t restored = ssd_manager_->RestoreFromCheckpoint(
-      snapshot->entries, ctx, &max_update_lsn, &covered);
-  // Phase 2 — redo. Records covered by a restored SSD copy are skipped (the
-  // SSD already holds them; the cleaner will move them to disk), so the
-  // extended redo horizon (back to the oldest dirty SSD page) costs a log
-  // scan, not disk I/O.
-  const RecoveryStats stats =
-      recovery.Recover(ctx, snapshot->min_dirty_lsn, nullptr, &covered);
-  return {stats, restored};
-}
-
-std::pair<RecoveryStats, PersistentRestoreStats> DbSystem::RecoverPersistent(
-    IoContext& ctx) {
-  PersistentRestoreStats pstats;
+RecoveryStats DbSystem::Recover(IoContext& ctx,
+                                PersistentRestoreStats* restore) {
   // Prune the torn log tail FIRST: the durable horizon used to judge SSD
   // frames must already exclude records that did not survive the crash
   // (otherwise a frame could be admitted against an LSN that is about to be
-  // truncated away). Recover() repeats the call idempotently.
+  // truncated away). The redo pass repeats the call idempotently.
   const size_t truncated = log_.TruncateTornTail();
-  const Lsn horizon = log_.durable_lsn();
-  // Per-page highest durable update LSN: proves whether a recovered frame
-  // is still the newest version of its page (in-memory log scan, no I/O).
-  std::unordered_map<PageId, Lsn> max_update_lsn;
-  for (const LogRecord& rec : log_.records_for_recovery()) {
-    if (!log_.IsDurable(rec.lsn)) break;
-    if (rec.type != LogRecordType::kUpdate) continue;
-    Lsn& maxl = max_update_lsn[rec.page_id];
-    maxl = std::max(maxl, rec.lsn);
-  }
+  PersistentRestoreStats pstats;
   std::unordered_map<PageId, Lsn> covered;
-  ssd_manager_->RecoverPersistentState(horizon, ctx, &max_update_lsn, &covered,
-                                       &pstats);
+  if (config_.persistent_ssd_cache) {
+    // Per-page highest durable update LSN: proves whether a recovered frame
+    // is still the newest version of its page (in-memory log scan, no I/O).
+    std::unordered_map<PageId, Lsn> max_update_lsn;
+    for (const LogRecord& rec : log_.records_for_recovery()) {
+      if (!log_.IsDurable(rec.lsn)) break;
+      if (rec.type != LogRecordType::kUpdate) continue;
+      Lsn& maxl = max_update_lsn[rec.page_id];
+      maxl = std::max(maxl, rec.lsn);
+    }
+    ssd_manager_->RecoverPersistentState(log_.durable_lsn(), ctx,
+                                         &max_update_lsn, &covered, &pstats);
+  }
+  // Records covered by a restored SSD copy are skipped (the SSD already
+  // holds them; the cleaner moves them to disk later), so the extended redo
+  // horizon (back to the oldest restored dirty frame) costs a log scan, not
+  // disk I/O.
   RecoveryManager recovery(&disk_manager_, &log_);
-  RecoveryStats stats =
-      recovery.Recover(ctx, pstats.min_dirty_lsn, nullptr, &covered);
+  RecoveryStats stats = recovery.Recover(ctx, pstats.min_dirty_lsn, &covered);
   stats.records_truncated += static_cast<int64_t>(truncated);
-  return {stats, pstats};
+  if (restore != nullptr) *restore = pstats;
+  return stats;
 }
 
 Database::Database(DbSystem* system) : system_(system) {

@@ -72,9 +72,9 @@ struct SystemConfig {
   BufferPool::Options bp_options;  // page_bytes/num_frames overwritten
   int tac_extent_pages = 32;
   // Persistent SSD cache: the SSD device is enlarged by the metadata
-  // journal region and the cache journals its buffer table there, so a
-  // restart re-attaches surviving SSD contents (warm restart) instead of
-  // reformatting. Recovery must then go through RecoverPersistent().
+  // journal region and the cache journals its buffer table there, so
+  // DbSystem::Recover re-attaches the surviving SSD contents (warm restart)
+  // instead of reformatting.
   bool persistent_ssd_cache = false;
   // Fault injection (src/fault): when enabled, the SSD device is wrapped in
   // a FaultInjectingDevice driven by `ssd_fault_plan`. The disk array and
@@ -117,27 +117,22 @@ class DbSystem {
   }
 
   // Crash simulation: drops the buffer pool (losing un-flushed dirty pages)
-  // and truncates the log to its durable prefix. Device contents survive.
+  // and the SSD manager's in-memory table, and truncates the log to its
+  // durable prefix. Device contents survive.
   void Crash();
 
-  // Redo-only restart recovery; returns its stats.
-  RecoveryStats Recover(IoContext& ctx);
-
-  // Restart recovery with the Section-6 extension: redo covers the oldest
-  // dirty SSD page of the last SSD-table checkpoint, then snapshot entries
-  // that are provably still the newest version of their page are
-  // re-attached to the (fresh) SSD manager — a warm cache at restart
-  // instead of hours of ramp-up. Returns (recovery stats, frames restored).
-  std::pair<RecoveryStats, size_t> RecoverWithSsdTable(IoContext& ctx);
-
-  // Restart recovery for the persistent SSD cache (persistent_ssd_cache):
-  // prunes the torn log tail, recovers the SSD metadata journal, reconciles
-  // every recovered mapping against the WAL durable horizon (frames whose
-  // LSN exceeds it are never re-attached), re-attaches the survivors and
-  // runs redo with restored dirty frames covered. Falls back to plain
-  // Recover() semantics when the cache has no journal.
-  std::pair<RecoveryStats, PersistentRestoreStats> RecoverPersistent(
-      IoContext& ctx);
+  // Restart recovery: prunes the torn log tail, then redoes the durable log
+  // from the last completed checkpoint. With config.persistent_ssd_cache it
+  // first warms the SSD cache from its metadata journal: every recovered
+  // mapping is reconciled against the WAL durable horizon (frames whose LSN
+  // exceeds it are never re-attached) and against the per-page highest
+  // durable update LSN, the survivors are re-attached, and redo skips the
+  // records that restored dirty frames already contain. `restore`, if
+  // given, receives the journal outcome (left default without the
+  // persistent cache). Runs once per restart: on a freshly built system or
+  // right after Crash().
+  RecoveryStats Recover(IoContext& ctx,
+                        PersistentRestoreStats* restore = nullptr);
 
  private:
   SystemConfig config_;

@@ -256,7 +256,7 @@ WorkloadRun RunWorkload(const CrashHarnessOptions& o,
         const Time end = system.checkpoint().RunCheckpoint(ctx);
         ctx.now = std::max(ctx.now, end);
       }
-      if (o.exercise_self_healing && i == o.num_ops / 2) {
+      if (o.exercise_healing && i == o.num_ops / 2) {
         ExerciseSelfHealing(system, ctx);
       }
       const uint64_t r = rng.Uniform(100);
@@ -378,6 +378,11 @@ bool ApplyRestartFault(DbSystem* sys, const CrashHarnessOptions& o,
       // than any journal entry it can still read — the lazy-scan path.
       FlipDeviceByte(dev, probe.SealPageOf(half), 8, 0xFF);
       return jr.valid;
+    case SsdRestartFault::kWiped:
+      // A replaced device: no journal and no frame survives, so recovery
+      // must rebuild every page from the disk and the WAL alone.
+      sys->ssd_device()->RestoreContent({});
+      return true;
     case SsdRestartFault::kCorruptFrameHeader: {
       if (jr.entries.empty()) return false;
       // Deterministic pick: the lowest eligible frame, preferring one whose
@@ -451,17 +456,11 @@ RecoveredDb MakeRestoredSystem(const CrashHarnessOptions& o,
   return out;
 }
 
-RecoveryStats RecoverNow(DbSystem& system) {
-  IoContext rctx = system.MakeContext();
-  return system.Recover(rctx);
-}
-
-// Warm recovery: the persistent-cache restart path. Fills b.pstats.
-RecoveryStats RecoverWarm(RecoveredDb& b) {
+// Restart recovery; warm (journal restore first) exactly when the options
+// enable the persistent cache. Fills b.pstats.
+RecoveryStats RecoverNow(RecoveredDb& b) {
   IoContext rctx = b.system->MakeContext();
-  auto [stats, pstats] = b.system->RecoverPersistent(rctx);
-  b.pstats = pstats;
-  return stats;
+  return b.system->Recover(rctx, &b.pstats);
 }
 
 // Byte-compares the full data volume of two recovered systems (synthesized
@@ -501,7 +500,7 @@ CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
   const std::string label = Label(o, cap.point, cap.hit, torn);
 
   RecoveredDb b = MakeRestoredSystem(o, run.catalog, cap, torn);
-  b.stats = RecoverNow(*b.system);
+  b.stats = RecoverNow(b);
   result.recovery = b.stats;
   if (torn && b.torn_injected && b.stats.records_truncated < 1) {
     result.failures.push_back(label + " torn tail record was not truncated");
@@ -509,25 +508,29 @@ CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
 
   // 1. Oracle exactness: every cell equals its last durable update. The
   // torn block is non-durable — a correct recovery truncates it, so the
-  // horizon is the pre-torn durable LSN in both modes.
+  // horizon is the pre-torn durable LSN in both modes. Reads go through the
+  // buffer pool, the path clients observe: under the persistent cache a
+  // re-attached dirty LC frame legitimately shadows its stale disk copy.
   const Lsn horizon = cap.log.durable_lsn;
-  std::vector<uint8_t> buf(o.page_bytes);
   for (const auto& [cell, writes] : run.oracle) {
     uint32_t expected = 0;
     for (const OracleWrite& w : writes) {
       if (w.lsn <= horizon) expected = w.value;
     }
     IoContext rctx = b.system->MakeContext();
-    const Status s = b.system->disk_manager().ReadPage(cell.first, buf, rctx);
-    if (!s.ok()) {
-      result.failures.push_back(label + " oracle read of page " +
-                                std::to_string(cell.first) +
-                                " failed: " + s.ToString());
-      continue;
-    }
+    Status s;
     uint32_t got = 0;
-    std::memcpy(&got, PageView(buf.data(), o.page_bytes).payload() +
-                          4 * cell.second, 4);
+    {
+      PageGuard g = b.system->buffer_pool().FetchPage(
+          cell.first, AccessKind::kRandom, rctx, &s);
+      if (!g.valid()) {
+        result.failures.push_back(label + " oracle read of page " +
+                                  std::to_string(cell.first) +
+                                  " failed: " + s.ToString());
+        continue;
+      }
+      std::memcpy(&got, g.view().payload() + 4 * cell.second, 4);
+    }
     ++result.oracle_cells;
     if (got != expected) {
       result.failures.push_back(
@@ -545,8 +548,10 @@ CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
     result.failures.push_back(label + " audit: " + report.ToString());
   }
 
-  // 3. Recovery converged: a second pass applies nothing.
-  const RecoveryStats second = RecoverNow(*b.system);
+  // 3. Recovery converged: a power cut right after it leaves a state whose
+  // own recovery applies nothing.
+  b.system->Crash();
+  const RecoveryStats second = RecoverNow(b);
   if (second.records_applied != 0) {
     result.failures.push_back(label + " second recovery applied " +
                               std::to_string(second.records_applied) +
@@ -555,15 +560,16 @@ CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
 
   // 4. Idempotence: crash *recovery itself* halfway through its redo pass,
   // recover once more, and require the final image to be byte-identical to
-  // the single-pass reference.
+  // the single-pass reference. A persistent SSD survives that power cut
+  // like any other.
   if (b.stats.records_applied >= 2) {
     const int k = 1 + static_cast<int>(b.stats.records_applied / 2);
     RecoveredDb c = MakeRestoredSystem(o, run.catalog, cap, torn);
-    SnapshotObserver cobs(c.system.get());
+    SnapshotObserver cobs(c.system.get(), o.persistent_ssd);
     cobs.Request(kRedoPoint, k);
     {
       ScopedCrashArm arm(&cobs);
-      c.stats = RecoverNow(*c.system);
+      c.stats = RecoverNow(c);
     }
     const CrashCapture* mid = cobs.Find(kRedoPoint, k);
     if (mid == nullptr) {
@@ -572,7 +578,7 @@ CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
     } else {
       RecoveredDb d = MakeRestoredSystem(o, run.catalog, *mid,
                                          /*torn=*/false);
-      d.stats = RecoverNow(*d.system);
+      d.stats = RecoverNow(d);
       const std::string diff = ComparePages(*b.system, *d.system, o);
       if (!diff.empty()) {
         result.failures.push_back(label + " idempotence: " + diff);
@@ -592,7 +598,7 @@ std::string WarmLabel(const CrashHarnessOptions& o, const std::string& point,
 }
 
 // Warm-restart verification: recover with the surviving (possibly damaged)
-// SSD image via RecoverPersistent and check the persistent-cache contract.
+// SSD image and check the persistent-cache contract.
 // Oracle reads go through the buffer pool, not the raw disk: a restored
 // dirty LC frame legitimately shadows its stale disk copy, and the buffer
 // pool is the path by which clients observe the database.
@@ -607,7 +613,7 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
   RecoveredDb b =
       MakeRestoredSystem(o, run.catalog, cap, /*torn=*/false, fault);
   result.ssd_fault_armed = b.ssd_fault_armed;
-  b.stats = RecoverWarm(b);
+  b.stats = RecoverNow(b);
   result.recovery = b.stats;
   result.persistent = b.pstats;
   const Lsn horizon = cap.log.durable_lsn;
@@ -637,7 +643,7 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
     after.ssd = b.system->ssd_device()->SnapshotContent();
     RecoveredDb conv = MakeRestoredSystem(o, run.catalog, after,
                                           /*torn=*/false);
-    conv.stats = RecoverWarm(conv);
+    conv.stats = RecoverNow(conv);
     if (conv.stats.records_applied != 0) {
       result.failures.push_back(
           label + " re-crash after recovery redid " +
@@ -650,7 +656,7 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
   {
     RecoveredDb d =
         MakeRestoredSystem(o, run.catalog, cap, /*torn=*/false, fault);
-    d.stats = RecoverWarm(d);
+    d.stats = RecoverNow(d);
     const std::string diff = ComparePages(*b.system, *d.system, o);
     if (!diff.empty()) {
       result.failures.push_back(label + " determinism: " + diff);
@@ -707,7 +713,7 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
     cobs.Request(kRedoPoint, k);
     {
       ScopedCrashArm arm(&cobs);
-      c.stats = RecoverWarm(c);
+      c.stats = RecoverNow(c);
     }
     const CrashCapture* mid = cobs.Find(kRedoPoint, k);
     if (mid == nullptr) {
@@ -716,7 +722,7 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
     } else {
       RecoveredDb d2 = MakeRestoredSystem(o, run.catalog, *mid,
                                           /*torn=*/false);
-      d2.stats = RecoverWarm(d2);
+      d2.stats = RecoverNow(d2);
       const std::string diff = ComparePages(*b.system, *d2.system, o);
       if (!diff.empty()) {
         result.failures.push_back(label + " idempotence: " + diff);
@@ -739,6 +745,8 @@ const char* ToString(SsdRestartFault fault) {
       return "stale-journal";
     case SsdRestartFault::kCorruptFrameHeader:
       return "corrupt-frame-header";
+    case SsdRestartFault::kWiped:
+      return "wiped";
   }
   return "unknown";
 }
@@ -831,7 +839,8 @@ CrashMatrixResult CrashHarness::RunWarmRestartMatrix(bool quick) {
 
   constexpr SsdRestartFault kFaults[] = {
       SsdRestartFault::kClean, SsdRestartFault::kTornJournalTail,
-      SsdRestartFault::kStaleJournal, SsdRestartFault::kCorruptFrameHeader};
+      SsdRestartFault::kStaleJournal, SsdRestartFault::kCorruptFrameHeader,
+      SsdRestartFault::kWiped};
   std::set<std::string> points;
   const auto sweep = [&](const WorkloadRun& run) {
     for (const auto& [key, cap] : run.captures) {
@@ -861,7 +870,7 @@ std::vector<std::string> CrashHarness::RunRedoIdempotenceSweep(int max_steps) {
 
   RecoveredDb ref = MakeRestoredSystem(options_, run.catalog, cap,
                                        /*torn=*/false);
-  ref.stats = RecoverNow(*ref.system);
+  ref.stats = RecoverNow(ref);
   const int64_t applied = ref.stats.records_applied;
   if (applied == 0) {
     failures.push_back(Label(options_, kEndPoint, 1, false) +
@@ -873,11 +882,11 @@ std::vector<std::string> CrashHarness::RunRedoIdempotenceSweep(int max_steps) {
   for (int64_t k = 1; k <= steps; ++k) {
     RecoveredDb c = MakeRestoredSystem(options_, run.catalog, cap,
                                        /*torn=*/false);
-    SnapshotObserver cobs(c.system.get());
+    SnapshotObserver cobs(c.system.get(), options_.persistent_ssd);
     cobs.Request(kRedoPoint, static_cast<int>(k));
     {
       ScopedCrashArm arm(&cobs);
-      c.stats = RecoverNow(*c.system);
+      c.stats = RecoverNow(c);
     }
     const std::string label =
         Label(options_, kRedoPoint, static_cast<int>(k), false);
@@ -888,10 +897,11 @@ std::vector<std::string> CrashHarness::RunRedoIdempotenceSweep(int max_steps) {
     }
     RecoveredDb d = MakeRestoredSystem(options_, run.catalog, *mid,
                                        /*torn=*/false);
-    d.stats = RecoverNow(*d.system);
+    d.stats = RecoverNow(d);
     const std::string diff = ComparePages(*ref.system, *d.system, options_);
     if (!diff.empty()) failures.push_back(label + " " + diff);
-    const RecoveryStats again = RecoverNow(*d.system);
+    d.system->Crash();
+    const RecoveryStats again = RecoverNow(d);
     if (again.records_applied != 0) {
       failures.push_back(label + " re-recovery applied " +
                          std::to_string(again.records_applied) + " records");

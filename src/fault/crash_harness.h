@@ -22,6 +22,8 @@ enum class SsdRestartFault {
   kStaleJournal,        // current epoch's seal destroyed: journal is stale,
                         //   frames on the device are newer than its entries
   kCorruptFrameHeader,  // one journal-listed frame's content corrupted
+  kWiped,               // all-zero SSD image (a replaced device): disk + WAL
+                        //   alone must recover exactly
 };
 
 const char* ToString(SsdRestartFault fault);
@@ -41,7 +43,8 @@ const char* ToString(SsdRestartFault fault);
 //      subsumes both "all durable committed data present" and "nothing
 //      beyond the durable log visible";
 //   2. the InvariantAuditor reports the recovered system clean;
-//   3. a second recovery pass applies zero records;
+//   3. a power cut right after recovery, recovered again, applies zero
+//      records;
 //   4. recovery idempotence — crash *again* mid-redo, recover once more,
 //      and the final on-disk image is byte-identical to the single-pass one.
 //
@@ -71,8 +74,8 @@ struct CrashHarnessOptions {
   int64_t ssd_frames = 48;
   // Persistent-cache mode: the workload runs with persistent_ssd_cache on,
   // crash captures additionally snapshot the SSD device (frames + metadata
-  // journal region), and warm scenarios recover via
-  // DbSystem::RecoverPersistent instead of reformatting the SSD.
+  // journal region), and DbSystem::Recover re-attaches the surviving SSD
+  // contents instead of reformatting them.
   bool persistent_ssd = false;
   // Drives the self-healing machinery mid-workload (corrupt one clean frame
   // -> scrub repair; degrade partition 0 -> canary re-enable), so the
@@ -80,7 +83,7 @@ struct CrashHarnessOptions {
   // fire under the torture matrix. Content-neutral: repairs re-seed from
   // identical disk copies and a degrade only purges cached copies, so every
   // oracle/audit check applies unchanged.
-  bool exercise_self_healing = false;
+  bool exercise_healing = false;
 };
 
 struct CrashScenarioResult {
@@ -134,7 +137,7 @@ class CrashHarness {
 
   // Warm-restart scenario (requires options.persistent_ssd): crash at the
   // hit-th firing of `point`, restore the surviving SSD image, damage it per
-  // `fault`, recover via RecoverPersistent and verify — oracle exactness
+  // `fault`, recover and verify — oracle exactness
   // through the buffer pool (restored dirty frames legitimately shadow the
   // disk), the horizon rule (no re-attached frame's LSN exceeds the WAL
   // durable horizon), auditor + frame-header audit clean, convergence (an
@@ -144,8 +147,8 @@ class CrashHarness {
   CrashScenarioResult RunWarmRestartScenario(const std::string& point, int hit,
                                              SsdRestartFault fault);
 
-  // Sweeps every crash point that fires under this design × all four restart
-  // faults. Quick mode crashes at the first hit of each point; full mode adds
+  // Sweeps every crash point that fires under this design × every restart
+  // fault. Quick mode crashes at the first hit of each point; full mode adds
   // the middle hit. Both include the end-of-workload crash.
   CrashMatrixResult RunWarmRestartMatrix(bool quick = true);
 

@@ -22,7 +22,7 @@
 #include "sim/sim_executor.h"       // discrete-event executor
 #include "storage/file_device.h"    // real-file backend
 #include "storage/striped_array.h"  // 8-spindle simulated disk array
-#include "wal/checkpoint.h"         // sharp checkpoints (+ SSD-table ext)
+#include "wal/checkpoint.h"         // sharp checkpoints
 #include "wal/log_manager.h"        // write-ahead log
 #include "wal/recovery.h"           // redo-only restart recovery
 #include "workload/driver.h"        // multi-client benchmark driver

@@ -54,21 +54,7 @@ Time CheckpointManager::RunCheckpoint(IoContext& ctx) {
   // Every memory-dirty page is on disk; the SSD drain has not run yet.
   TURBOBP_CRASH_POINT("ckpt/after-pool-flush");
 
-  if (ssd_ != nullptr && ssd_table_mode_) {
-    // Restart extension: instead of draining the SSD's dirty pages, persist
-    // the SSD buffer table in the checkpoint record. Redo must then start
-    // no later than the oldest dirty SSD page's LSN.
-    snapshot_.checkpoint_lsn = begin_lsn;
-    snapshot_.entries = ssd_->SnapshotForCheckpoint();
-    snapshot_.min_dirty_lsn = kInvalidLsn;
-    for (const auto& e : snapshot_.entries) {
-      if (e.dirty && e.page_lsn != kInvalidLsn &&
-          (snapshot_.min_dirty_lsn == kInvalidLsn ||
-           e.page_lsn < snapshot_.min_dirty_lsn)) {
-        snapshot_.min_dirty_lsn = e.page_lsn;
-      }
-    }
-  } else if (ssd_ != nullptr) {
+  if (ssd_ != nullptr) {
     // LC: the SSD may hold the newest copy of pages; they must reach disk.
     const int64_t ssd_dirty_before = ssd_->stats().dirty_frames;
     IoResult ssd_res{end, Status::Ok()};

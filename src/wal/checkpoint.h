@@ -26,16 +26,6 @@ struct CheckpointStats {
   Lsn last_checkpoint_lsn = kInvalidLsn;
 };
 
-// The restart extension's durable payload: the SSD buffer table as of a
-// checkpoint, conceptually part of the checkpoint record (Section 4.1.2 of
-// the paper sketches exactly this: "adding the SSD buffer table data
-// structure ... to the checkpoint record").
-struct SsdTableSnapshot {
-  Lsn checkpoint_lsn = kInvalidLsn;
-  Lsn min_dirty_lsn = kInvalidLsn;  // redo must start no later than this
-  std::vector<SsdManager::CheckpointEntry> entries;
-};
-
 // Sharp checkpointing, as in SQL Server 2008 R2 (Section 3.2): every dirty
 // page in the main-memory buffer pool is flushed to disk — and, under the
 // LC design, every dirty page in the SSD buffer pool as well, which is why
@@ -66,10 +56,9 @@ class CheckpointManager {
   // log records below its begin-LSN (all durable by the checkpoint's commit
   // edge) are released — recovery never replays below the last completed
   // checkpoint, so retaining them only grows memory without bound on long
-  // threaded soaks. Default on; DbSystem turns it off for the restart
-  // extensions (persistent SSD cache, SSD-table checkpoints), whose
-  // recovery paths scan the full durable log to build per-page
-  // max-update-LSN maps.
+  // threaded soaks. Default on; DbSystem turns it off for the persistent
+  // SSD cache, whose warm restart scans the full durable log to build the
+  // per-page max-update-LSN map that judges restored frames.
   void set_wal_truncation(bool on) { wal_truncation_ = on; }
   bool wal_truncation() const { return wal_truncation_; }
 
@@ -79,24 +68,8 @@ class CheckpointManager {
   // outside tests.
   void set_skip_ssd_flush_for_test(bool v) { skip_ssd_flush_for_test_ = v; }
 
-  // --- restart extension (Section 6 future work) ----------------------------
-
-  // When enabled, checkpoints stop draining the SSD's dirty pages; instead
-  // the SSD buffer table is snapshotted into the checkpoint record, and
-  // DbSystem::RecoverWithSsdTable() re-attaches the SSD after a restart.
-  void EnableSsdTableCheckpoints() {
-    ssd_table_mode_ = true;
-    // RecoverWithSsdTable validates restored SSD frames against the full
-    // durable log; a truncated prefix would admit stale frames as current.
-    wal_truncation_ = false;
-  }
-  // A restart replaces the SSD manager instance; re-point at the new one
-  // (the durable snapshot_ is unaffected).
+  // A restart replaces the SSD manager instance; re-point at the new one.
   void set_ssd_manager(SsdManager* ssd) { ssd_ = ssd; }
-  bool ssd_table_mode() const { return ssd_table_mode_; }
-  const SsdTableSnapshot* latest_snapshot() const {
-    return snapshot_.checkpoint_lsn == kInvalidLsn ? nullptr : &snapshot_;
-  }
 
  private:
   void PeriodicTick(Time interval);
@@ -106,10 +79,8 @@ class CheckpointManager {
   LogManager* log_;
   SimExecutor* executor_;
   bool periodic_ = false;
-  bool ssd_table_mode_ = false;
   bool wal_truncation_ = true;
   bool skip_ssd_flush_for_test_ = false;
-  SsdTableSnapshot snapshot_;
   CheckpointStats stats_;
   std::vector<Lsn> completed_;
 };

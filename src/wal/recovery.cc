@@ -36,7 +36,6 @@ Lsn RecoveryManager::FindRedoStart() const {
 
 RecoveryStats RecoveryManager::Recover(
     IoContext& ctx, Lsn redo_start_override,
-    std::unordered_map<PageId, Lsn>* max_update_lsn,
     const std::unordered_map<PageId, Lsn>* covered_by_ssd) {
   RecoveryStats stats;
   const Time start = ctx.now;
@@ -70,10 +69,6 @@ RecoveryStats RecoveryManager::Recover(
     }
     if (rec.type != LogRecordType::kUpdate) continue;
     ++stats.records_scanned;
-    if (max_update_lsn != nullptr) {
-      Lsn& maxl = (*max_update_lsn)[rec.page_id];
-      maxl = std::max(maxl, rec.lsn);
-    }
     if (covered_by_ssd != nullptr) {
       const auto it = covered_by_ssd->find(rec.page_id);
       if (it != covered_by_ssd->end() && rec.lsn <= it->second) {

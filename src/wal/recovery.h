@@ -23,11 +23,13 @@ struct RecoveryStats {
 
 // Redo-only restart recovery (ARIES redo pass over physiological records).
 //
-// After a crash the buffer pool and the SSD cache contents are discarded —
-// as the paper notes (Section 6), no design to date leverages the SSD
-// during restart. The sharp checkpoint guarantees the disk is current as of
-// the last completed checkpoint; this pass replays the durable log tail,
-// applying each update record whose LSN is newer than the on-disk page LSN.
+// After a crash the buffer pool is discarded. The sharp checkpoint
+// guarantees the disk is current as of the last completed checkpoint,
+// except for pages whose newest copy is a dirty frame on a persistent SSD
+// cache that survived the crash; this pass replays the durable log tail,
+// applying each update record whose LSN is newer than the on-disk page LSN
+// and skipping the records a re-attached SSD copy already contains
+// (DbSystem::Recover wires the two together).
 class RecoveryManager {
  public:
   RecoveryManager(DiskManager* disk, LogManager* log);
@@ -42,17 +44,13 @@ class RecoveryManager {
   // the prefetched images. Page writes stay synchronous, preserving the
   // per-record "recovery/redo-apply" idempotence edge.
   //
-  // `redo_start_override` forces an earlier redo start (the restart
-  // extension must cover dirty SSD pages whose updates predate the last
-  // checkpoint). `max_update_lsn`, if given, receives the highest durable
-  // update LSN seen per page — the restart extension uses it to prove a
-  // snapshot entry is still the newest version of its page.
+  // `redo_start_override` forces an earlier redo start (re-attached dirty
+  // SSD frames may carry updates that predate the last checkpoint).
   // `covered_by_ssd` maps pages to the LSN up to which a restored SSD copy
   // already contains all updates: redo skips those records entirely (no
-  // disk I/O), which is what makes the restart extension's recovery fast.
+  // disk I/O), which is what makes a warm restart's recovery fast.
   RecoveryStats Recover(
       IoContext& ctx, Lsn redo_start_override = kInvalidLsn,
-      std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,
       const std::unordered_map<PageId, Lsn>* covered_by_ssd = nullptr);
 
  private:

@@ -1,16 +1,19 @@
-// The Section-6 future-work extension: checkpoints persist the SSD buffer
-// table instead of draining dirty SSD pages, and a restart re-attaches the
-// SSD's (persistent) contents after redo. Correctness bar: every restored
-// copy is provably the newest version of its page; stale or recycled
-// frames are dropped; committed updates always survive.
+// The Section-6 future-work extension, as the persistent SSD cache builds
+// it: the cache journals its buffer table on the SSD, and one
+// DbSystem::Recover re-attaches the surviving SSD contents after a crash
+// before redo runs. Correctness bar: every restored copy is provably the
+// newest version of its page; superseded or recycled frames are dropped;
+// committed updates always survive.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "engine/database.h"
+#include "storage/page.h"
 
 namespace turbobp {
 namespace {
@@ -29,9 +32,9 @@ class RestartExtensionTest : public ::testing::Test {
     config.design = SsdDesign::kLazyCleaning;
     config.ssd_options.num_partitions = 2;
     config.ssd_options.lc_dirty_fraction = 0.9;
+    config.persistent_ssd_cache = true;
     system_ = std::make_unique<DbSystem>(config);
     db_ = std::make_unique<Database>(system_.get());
-    system_->checkpoint().EnableSsdTableCheckpoints();
   }
 
   void CommittedWrite(PageId pid, uint8_t value, IoContext& ctx) {
@@ -39,7 +42,7 @@ class RestartExtensionTest : public ::testing::Test {
       PageGuard g =
           system_->buffer_pool().FetchPage(pid, AccessKind::kRandom, ctx);
       g.view().payload()[0] = value;
-      g.LogUpdate(next_txn_++, kPageHeaderSize, 1);
+      last_lsn_[pid] = g.LogUpdate(next_txn_++, kPageHeaderSize, 1);
     }
     system_->log().CommitForce(ctx);
     shadow_[pid] = value;
@@ -52,6 +55,15 @@ class RestartExtensionTest : public ::testing::Test {
       system_->executor().RunUntil(ctx.now);
       ctx.now = std::max(ctx.now, system_->executor().now());
     }
+  }
+
+  // Power cut and restart: returns the recovery stats, `restore` receives
+  // the journal outcome.
+  RecoveryStats CrashAndRecover(PersistentRestoreStats* restore,
+                                IoContext& rctx) {
+    system_->Crash();
+    rctx = system_->MakeContext();
+    return system_->Recover(rctx, restore);
   }
 
   // Every committed write must be visible through the buffer pool after
@@ -67,45 +79,32 @@ class RestartExtensionTest : public ::testing::Test {
   std::unique_ptr<DbSystem> system_;
   std::unique_ptr<Database> db_;
   std::map<PageId, uint8_t> shadow_;
+  std::map<PageId, Lsn> last_lsn_;  // newest committed update per page
   uint64_t next_txn_ = 1;
 };
-
-TEST_F(RestartExtensionTest, CheckpointSkipsSsdDrainAndSnapshotsTable) {
-  IoContext ctx = system_->MakeContext();
-  Rng rng(3);
-  Churn(400, ctx, rng);
-  const int64_t ssd_dirty = system_->ssd_manager().stats().dirty_frames;
-  ASSERT_GT(ssd_dirty, 0);
-  system_->checkpoint().RunCheckpoint(ctx);
-  // Dirty SSD pages were NOT drained (that is the point of the extension).
-  EXPECT_EQ(system_->ssd_manager().stats().dirty_frames, ssd_dirty);
-  EXPECT_EQ(system_->checkpoint().stats().pages_flushed_ssd, 0);
-  const SsdTableSnapshot* snap = system_->checkpoint().latest_snapshot();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_GT(snap->entries.size(), 0u);
-  EXPECT_NE(snap->min_dirty_lsn, kInvalidLsn);
-}
 
 TEST_F(RestartExtensionTest, RestartRestoresWarmSsdAndStaysCorrect) {
   IoContext ctx = system_->MakeContext();
   Rng rng(5);
   Churn(400, ctx, rng);
   system_->checkpoint().RunCheckpoint(ctx);
-  Churn(100, ctx, rng);  // post-checkpoint updates invalidate some entries
-  system_->Crash();
-  IoContext rctx = system_->MakeContext();
-  const auto [stats, restored] = system_->RecoverWithSsdTable(rctx);
-  EXPECT_GT(restored, 0u);  // the cache came back warm
+  Churn(100, ctx, rng);  // post-checkpoint updates leave dirty SSD frames
+  PersistentRestoreStats restore;
+  IoContext rctx;
+  const RecoveryStats stats = CrashAndRecover(&restore, rctx);
+  EXPECT_TRUE(restore.journal_valid);
+  EXPECT_GT(restore.restored, 0u);  // the cache came back warm
   EXPECT_EQ(system_->ssd_manager().stats().used_frames,
-            static_cast<int64_t>(restored));
+            static_cast<int64_t>(restore.restored));
   // Dirty copies are restored dirty: the SSD still holds the newest
   // version and redo skipped the records those copies cover.
+  EXPECT_GT(system_->ssd_manager().stats().dirty_frames, 0);
   EXPECT_GT(stats.records_skipped_ssd, 0);
   VerifyShadowThroughPool(rctx);
   // The cleaner can still drain the restored dirty set to disk.
   IoContext fctx = system_->MakeContext();
   fctx.now = std::max(fctx.now, rctx.now);
-  system_->ssd_manager().FlushAllDirty(fctx);
+  ASSERT_TRUE(system_->ssd_manager().FlushAllDirty(fctx).ok());
   EXPECT_EQ(system_->ssd_manager().stats().dirty_frames, 0);
 }
 
@@ -114,67 +113,92 @@ TEST_F(RestartExtensionTest, SupersededEntriesAreDropped) {
   Rng rng(7);
   Churn(300, ctx, rng);
   system_->checkpoint().RunCheckpoint(ctx);
-  const size_t snap_size =
-      system_->checkpoint().latest_snapshot()->entries.size();
-  // Update EVERY page after the snapshot: no entry may survive.
+  const size_t journaled = system_->ssd_manager().SnapshotForCheckpoint().size();
+  ASSERT_GT(journaled, 0u);
+  // Update EVERY page after the checkpoint: each journaled copy is now
+  // older than its page's newest durable update.
   for (PageId p = 0; p < kUserPages; ++p) {
     CommittedWrite(p, static_cast<uint8_t>(p ^ 0x5A), ctx);
     system_->executor().RunUntil(ctx.now);
     ctx.now = std::max(ctx.now, system_->executor().now());
   }
-  system_->Crash();
-  IoContext rctx = system_->MakeContext();
-  const auto [stats, restored] = system_->RecoverWithSsdTable(rctx);
-  (void)stats;
-  EXPECT_EQ(restored, 0u) << "of " << snap_size << " snapshot entries";
+  PersistentRestoreStats restore;
+  IoContext rctx;
+  CrashAndRecover(&restore, rctx);
+  EXPECT_TRUE(restore.journal_valid);
+  EXPECT_LT(restore.restored, restore.entries_recovered)
+      << "no superseded journal entry reached the restore";
+  // Whatever came back is the newest version of its page.
+  for (const auto& e : system_->ssd_manager().SnapshotForCheckpoint()) {
+    EXPECT_EQ(e.page_lsn, last_lsn_.at(e.page_id)) << "page " << e.page_id;
+  }
   VerifyShadowThroughPool(rctx);
 }
 
-TEST_F(RestartExtensionTest, RedoCoversDirtySsdPagesOlderThanTheCheckpoint) {
+// Regression: the cold-pool 8-page read expansion used to install
+// speculative *disk* copies without asking the SSD. After a warm restart a
+// restored dirty frame is newer than its disk copy, so a neighbour's
+// expanded read installed the stale page and the next fetch served it.
+TEST_F(RestartExtensionTest, ReadExpansionDoesNotShadowRestoredDirtyFrame) {
   IoContext ctx = system_->MakeContext();
   Rng rng(9);
-  // Dirty pages land on the SSD (evictions), THEN a checkpoint snapshots
-  // them without flushing. Their updates predate the checkpoint.
   Churn(300, ctx, rng);
-  system_->checkpoint().RunCheckpoint(ctx);
-  system_->Crash();
-  IoContext rctx = system_->MakeContext();
-  const auto [stats, restored] = system_->RecoverWithSsdTable(rctx);
-  (void)restored;
-  // Redo started at the oldest dirty SSD page's LSN, before the checkpoint.
-  const SsdTableSnapshot* snap = system_->checkpoint().latest_snapshot();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_LE(stats.redo_start_lsn, snap->checkpoint_lsn);
-  VerifyShadowThroughPool(rctx);
+  PersistentRestoreStats restore;
+  IoContext rctx;
+  CrashAndRecover(&restore, rctx);
+  ASSERT_GT(restore.restored, 0u);
+
+  const uint32_t expand =
+      system_->config().bp_options.expand_read_pages;
+  ASSERT_GT(expand, 1u);
+  // A restored dirty page whose disk copy is provably older, with a block
+  // neighbour the SSD does not hold (its fetch goes to disk and expands).
+  PageId dirty_pid = kInvalidPageId;
+  PageId neighbour = kInvalidPageId;
+  std::vector<uint8_t> buf(kPage);
+  for (const auto& e : system_->ssd_manager().SnapshotForCheckpoint()) {
+    if (!e.dirty) continue;
+    IoContext dctx = system_->MakeContext(/*charge=*/false);
+    ASSERT_TRUE(system_->disk_manager().ReadPage(e.page_id, buf, dctx).ok());
+    if (PageView(buf.data(), kPage).header().lsn >= e.page_lsn) continue;
+    const PageId first = e.page_id - e.page_id % expand;
+    for (PageId p = first; p < first + expand; ++p) {
+      if (system_->ssd_manager().Probe(p) == SsdProbe::kAbsent) {
+        neighbour = p;
+        break;
+      }
+    }
+    if (neighbour != kInvalidPageId) {
+      dirty_pid = e.page_id;
+      break;
+    }
+  }
+  ASSERT_NE(dirty_pid, kInvalidPageId)
+      << "no restored dirty frame with a disk-resident neighbour";
+
+  const int64_t expanded_before =
+      system_->buffer_pool().stats().expanded_pages;
+  { PageGuard g = system_->buffer_pool().FetchPage(neighbour,
+                                                   AccessKind::kRandom, rctx); }
+  EXPECT_GT(system_->buffer_pool().stats().expanded_pages, expanded_before)
+      << "the neighbour's fetch did not expand";
+  PageGuard g =
+      system_->buffer_pool().FetchPage(dirty_pid, AccessKind::kRandom, rctx);
+  EXPECT_EQ(g.view().header().lsn, last_lsn_.at(dirty_pid));
+  EXPECT_EQ(g.view().payload()[0], shadow_.at(dirty_pid));
 }
 
-TEST_F(RestartExtensionTest, RestartWithoutAnyCheckpointIsColdButCorrect) {
+TEST_F(RestartExtensionTest, RestartBeforeAnyCheckpointStaysCorrect) {
   IoContext ctx = system_->MakeContext();
   Rng rng(11);
   Churn(150, ctx, rng);
-  system_->Crash();
-  IoContext rctx = system_->MakeContext();
-  const auto [stats, restored] = system_->RecoverWithSsdTable(rctx);
-  (void)stats;
-  EXPECT_EQ(restored, 0u);
-  VerifyShadowThroughPool(rctx);
-}
-
-TEST_F(RestartExtensionTest, ClassicRecoveryStillWorksWithExtensionOn) {
-  IoContext ctx = system_->MakeContext();
-  Rng rng(13);
-  Churn(200, ctx, rng);
-  system_->checkpoint().RunCheckpoint(ctx);
-  Churn(50, ctx, rng);
-  system_->Crash();
-  IoContext rctx = system_->MakeContext();
-  // Plain Recover (cold SSD): must also be correct — but note its redo
-  // starts at the checkpoint, which under the extension does NOT guarantee
-  // the disk is current for dirty-SSD pages. RecoverWithSsdTable is the
-  // correct entry point; plain Recover must use the extended redo start.
-  const auto [stats, restored] = system_->RecoverWithSsdTable(rctx);
-  (void)stats;
-  (void)restored;
+  PersistentRestoreStats restore;
+  IoContext rctx;
+  const RecoveryStats stats = CrashAndRecover(&restore, rctx);
+  // No completed checkpoint: redo scans the whole log, and the journal's
+  // restored copies still cover part of it.
+  EXPECT_EQ(stats.redo_start_lsn, kInvalidLsn);
+  EXPECT_GT(restore.restored, 0u);
   VerifyShadowThroughPool(rctx);
 }
 

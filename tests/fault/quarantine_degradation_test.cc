@@ -211,6 +211,63 @@ TEST_P(FaultyCacheTest, DeadDeviceDegradesToPassThrough) {
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
+// Degrade() is not terminal: it runs every partition through the same
+// salvage+purge+publish sequence an exhausted error budget triggers, so the
+// patrol scrubber heals those partitions like any other once the device
+// proves healthy — and keeps them down while it does not.
+TEST_P(FaultyCacheTest, DegradeHealsOnAHealthyDeviceButNotAnOfflineOne) {
+  Build(FaultPlan::Healthy());
+  AdmitClean(1);
+  AdmitClean(2, Millis(1));
+  const int64_t partitions =
+      static_cast<int64_t>(cache().partition_count());
+
+  IoContext ctx = Ctx(Seconds(1));
+  cache().Degrade(ctx);
+  EXPECT_TRUE(cache_->degraded());
+  EXPECT_EQ(cache().degraded_partition_count(), partitions);
+  EXPECT_EQ(cache_->Probe(1), SsdProbe::kAbsent);
+
+  // Inside the quiet window no canary runs: nothing heals yet.
+  IoContext early = Ctx(opts_.quiet_window / 2);
+  cache().ScrubTick(early);
+  EXPECT_TRUE(cache_->degraded());
+
+  // Past it, one patrol tick probes and re-enables every partition.
+  IoContext late = Ctx(opts_.quiet_window + Seconds(1));
+  cache().ScrubTick(late);
+  EXPECT_FALSE(cache_->degraded());
+  EXPECT_EQ(cache().degraded_partition_count(), 0);
+  SsdManagerStats s = cache_->stats();
+  EXPECT_FALSE(s.degraded);
+  EXPECT_EQ(s.partitions_degraded, partitions);
+  EXPECT_EQ(s.partitions_recovered, partitions);
+
+  // Healed means serving: a fresh admission reads back from the SSD.
+  AdmitClean(3, opts_.quiet_window + Seconds(2));
+  std::vector<uint8_t> out(kPage);
+  IoContext rctx = Ctx(opts_.quiet_window + Seconds(3));
+  EXPECT_TRUE(cache_->TryReadPage(3, out, rctx));
+  EXPECT_EQ(out, MakePage(3, 3));
+
+  // A dead device fails every canary: the cache stays in pass-through no
+  // matter how long it stays quiet.
+  fault_dev_->ForceOffline();
+  IoContext dctx = Ctx(opts_.quiet_window + Seconds(4));
+  cache().Degrade(dctx);
+  for (int i = 1; i <= 4; ++i) {
+    IoContext tick = Ctx(opts_.quiet_window * (2 * i) + Seconds(4));
+    cache().ScrubTick(tick);
+    EXPECT_TRUE(cache_->degraded()) << "tick " << i;
+  }
+  s = cache_->stats();
+  EXPECT_TRUE(s.degraded);
+  EXPECT_EQ(s.partitions_recovered, partitions);
+
+  const AuditReport audit = InvariantAuditor::AuditSsdCache(cache());
+  EXPECT_TRUE(audit.ok()) << audit.ToString();
+}
+
 INSTANTIATE_TEST_SUITE_P(Designs, FaultyCacheTest,
                          ::testing::Values(SsdDesign::kCleanWrite,
                                            SsdDesign::kDualWrite,

@@ -1,7 +1,8 @@
 // The restart-torture matrix for the persistent SSD cache: run each design
 // with persistent_ssd_cache on, cut power, damage the surviving SSD image in
-// each of the four ways ({clean, torn journal tail, stale journal + newer
-// frames, corrupted frame header}), and hold warm recovery to the oracle —
+// each of five ways ({clean, torn journal tail, stale journal + newer
+// frames, corrupted frame header, wiped device}), and hold warm recovery to
+// the oracle —
 // exact contents through the buffer pool, the horizon rule (no re-attached
 // frame beyond the WAL durable horizon), clean audits including per-frame
 // header verification, convergent and idempotent redo. Damage may cost
@@ -24,7 +25,8 @@ constexpr char kEndPoint[] = "end-of-workload";
 
 constexpr SsdRestartFault kAllFaults[] = {
     SsdRestartFault::kClean, SsdRestartFault::kTornJournalTail,
-    SsdRestartFault::kStaleJournal, SsdRestartFault::kCorruptFrameHeader};
+    SsdRestartFault::kStaleJournal, SsdRestartFault::kCorruptFrameHeader,
+    SsdRestartFault::kWiped};
 
 std::vector<uint64_t> SeedsFromEnv() {
   const char* env = std::getenv("TURBOBP_TORTURE_SEEDS");
@@ -99,6 +101,14 @@ TEST_P(RestartMatrixTest, WarmRestartSurvivesEveryRestartFault) {
         EXPECT_GE(r.persistent.dropped_verification, 1u)
             << ToString(GetParam()) << " seed " << seed;
       }
+      if (fault == SsdRestartFault::kWiped) {
+        // A replaced device holds nothing to re-attach: the disk and the
+        // WAL alone carried the exact oracle above.
+        EXPECT_FALSE(r.persistent.journal_valid)
+            << ToString(GetParam()) << " seed " << seed;
+        EXPECT_EQ(r.persistent.restored, 0u)
+            << ToString(GetParam()) << " seed " << seed;
+      }
     }
   }
 }
@@ -117,7 +127,7 @@ TEST_P(RestartMatrixTest, CrashDuringHealRecoversExact) {
   }
   for (const uint64_t seed : SeedsFromEnv()) {
     CrashHarnessOptions opts = PersistentOptions(GetParam(), seed);
-    opts.exercise_self_healing = true;
+    opts.exercise_healing = true;
     CrashHarness harness(opts);
     const auto points = harness.ProbeCrashPoints();
     ASSERT_TRUE(points.contains("ssd/scrub-repair"))
@@ -152,8 +162,8 @@ INSTANTIATE_TEST_SUITE_P(AllSsdDesigns, RestartMatrixTest,
                          });
 
 // The full warm matrix for the richest design: every crash point that fires
-// under persistent LC (including the journal's own durability edges) x all
-// four restart faults.
+// under persistent LC (including the journal's own durability edges) x every
+// restart fault.
 TEST(RestartTortureMatrixTest, LazyCleaningWarmMatrixAcrossCrashPoints) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
@@ -229,9 +239,10 @@ TEST(RestartTortureMatrixTest, QueuedButUnsubmittedWriteIsNotDurable) {
   }
 }
 
-// Persistent mode must not regress the classic cold-restart contract: the
-// full cold crash matrix (which ignores the surviving SSD) stays exact with
-// the journal running underneath, and the journal's durability edges fire.
+// Persistent mode must not regress the classic crash-matrix contract: the
+// full crash matrix (clean and torn log tails) stays exact with the journal
+// running underneath — its recovery is now warm, so the oracle reads through
+// the buffer pool — and the journal's durability edges fire.
 TEST(RestartTortureMatrixTest, PersistentModeKeepsColdMatrixExact) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
