@@ -44,7 +44,7 @@ DepthResult MeasureDepth(int depth) {
   });
   SimDevice log_dev(1 << 16, kPage,
                     std::make_unique<HddModel>(HddParams{.page_bytes = kPage}));
-  DiskManager disk(&disks, {.queue_depth = depth});
+  DiskManager disk(&disks, depth);
   LogManager log(&log_dev);
   BufferPool::Options bopt;
   bopt.num_frames = kFrames;

@@ -48,7 +48,6 @@ ChaosOutcome RunChaos(SsdDesign design, Time duration, Time storm_begin,
   // admission bursts queue the SSD for tens of ms — that is load, not
   // sickness) while still cutting the 2s stuck-request hangs short.
   config.ssd_options.read_deadline = Millis(250);
-  config.ssd_options.hedge_reads = true;
   config.ssd_options.scrub_interval = Millis(500);
   config.ssd_options.scrub_frames_per_tick = 256;
   // A dirty LC frame is the only current copy of its page, so its reads

@@ -69,11 +69,11 @@ BufferPool::BufferPool(const Options& options, DiskManager* disk,
   frames_ = std::make_unique<Frame[]>(options.num_frames);
   frame_sync_ = std::make_unique<FrameSync[]>(options.num_frames);
 
-  uint64_t shards = options.num_shards;
-  if (shards == 0) {
-    shards = std::clamp<uint64_t>(options.num_frames / 16, 1, 16);
-  }
-  shards = std::min<uint64_t>(shards, options.num_frames);
+  // Page-table/free-list shards: one per 16 frames, capped at 16 (small
+  // pools keep a single shard, preserving the exact single-list replacement
+  // order the unit tests pin down).
+  const uint64_t shards =
+      std::clamp<uint64_t>(options.num_frames / 16, 1, 16);
   shards_.reserve(shards);
   for (uint64_t s = 0; s < shards; ++s) {
     auto sh = std::make_unique<Shard>();
@@ -117,7 +117,7 @@ void BufferPool::VerifyFrameChecksum(int32_t frame, PageId pid) const {
   if (h.page_id != pid && h.page_id != kInvalidPageId) {
     Panic(__FILE__, __LINE__, "device returned the wrong page");
   }
-  if (options_.verify_checksums && h.page_id == pid && !v.VerifyChecksum()) {
+  if (h.page_id == pid && !v.VerifyChecksum()) {
     Panic(__FILE__, __LINE__, "page checksum mismatch: stale or torn copy");
   }
 }
@@ -367,10 +367,10 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
 
   // Read from disk. While the pool still has free frames SQL Server 2008 R2
   // expands every single-page read into an aligned multi-page read.
-  const uint32_t expand = options_.expand_read_pages;
+  constexpr uint32_t expand = kExpandReadPages;
   const bool can_expand =
       options_.expand_reads_until_warm &&
-      !warmed_up_.load(std::memory_order_relaxed) && expand > 1 &&
+      !warmed_up_.load(std::memory_order_relaxed) &&
       free_frames_.load(std::memory_order_relaxed) >=
           static_cast<int64_t>(expand);
   if (can_expand) {

@@ -110,17 +110,13 @@ class BufferPool {
     uint32_t page_bytes = 8192;
     // CPU charge for an in-memory page access.
     Time hit_cpu = Micros(2);
-    bool verify_checksums = true;
     // SQL Server 2008 R2 behaviour observed in Figure 8: while the pool has
     // free frames, every single-page read is expanded to an aligned
-    // `expand_read_pages` read.
+    // kExpandReadPages read.
     bool expand_reads_until_warm = true;
-    uint32_t expand_read_pages = 8;
-    // Page-table/free-list shards. 0 = auto: one shard per 16 frames,
-    // capped at 16 (small pools keep a single shard, preserving the exact
-    // single-list replacement order the unit tests pin down).
-    uint32_t num_shards = 0;
   };
+  // Pages per warm-up expanded read (Options::expand_reads_until_warm).
+  static constexpr uint32_t kExpandReadPages = 8;
 
   // PrefetchRange and FlushAllDirty submit through disk->io_engine()
   // (DESIGN.md §12).

@@ -24,7 +24,6 @@ class [[nodiscard]] Status {
     kFull = 5,
     kAborted = 6,
     kUnavailable = 7,
-    kTimedOut = 8,
   };
 
   Status() : code_(Code::kOk) {}
@@ -52,13 +51,6 @@ class [[nodiscard]] Status {
   static Status Unavailable(std::string msg = "") {
     return Status(Code::kUnavailable, std::move(msg));
   }
-  // A request that exceeded its deadline. The operation may still complete
-  // on the device later (the result is abandoned, not cancelled), so the
-  // caller must treat the target as suspect — it feeds the degradation
-  // budget, not the retry loop.
-  static Status TimedOut(std::string msg = "") {
-    return Status(Code::kTimedOut, std::move(msg));
-  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
@@ -66,7 +58,6 @@ class [[nodiscard]] Status {
   bool IsFull() const { return code_ == Code::kFull; }
   bool IsIoError() const { return code_ == Code::kIoError; }
   bool IsUnavailable() const { return code_ == Code::kUnavailable; }
-  bool IsTimedOut() const { return code_ == Code::kTimedOut; }
   Code code() const { return code_; }
   const std::string& message() const { return message_; }
 
@@ -82,7 +73,6 @@ class [[nodiscard]] Status {
       case Code::kFull: name = "Full"; break;
       case Code::kAborted: name = "Aborted"; break;
       case Code::kUnavailable: name = "Unavailable"; break;
-      case Code::kTimedOut: name = "TimedOut"; break;
     }
     return message_.empty() ? std::string(name)
                             : std::string(name) + ": " + message_;

@@ -52,6 +52,9 @@ class LazyCleaningCache : public SsdCacheBase {
   int64_t cleaner_wakeups() const { return cleaner_wakeups_.load(); }
   bool cleaner_running() const { return cleaner_running_.load(); }
 
+  // The cleaner stops this fraction of S below lambda (~0.01%).
+  static constexpr double kWatermarkGap = 0.0001;
+
   // Thresholds in frames.
   int64_t HighWatermark() const {
     return static_cast<int64_t>(options_.lc_dirty_fraction *
@@ -60,7 +63,7 @@ class LazyCleaningCache : public SsdCacheBase {
   int64_t LowWatermark() const {
     return std::max<int64_t>(
         0, HighWatermark() -
-               static_cast<int64_t>(options_.lc_watermark_gap *
+               static_cast<int64_t>(kWatermarkGap *
                                     static_cast<double>(options_.num_frames)));
   }
 

@@ -194,12 +194,7 @@ void SsdCacheBase::Invalidate(PageId pid) {
   TrackedLockGuard lock(part.mu);
   const int32_t rec = part.table.Lookup(pid);
   if (rec == -1) return;
-  SsdFrameRecord& r = part.table.record(rec);
-  if (r.state == SsdFrameState::kDirty) dirty_frames_.fetch_sub(1);
-  DetachRecord(part, rec);
-  part.table.PushFree(rec);
-  used_frames_.fetch_sub(1);
-  NoteJournalErase(FrameOf(part, rec));
+  ReleaseFrameLocked(part, rec);
   Counters::Bump(counters_.invalidations);
 }
 
@@ -243,6 +238,16 @@ void SsdCacheBase::DetachRecord(Partition& part, int32_t rec) {
   part.table.RemoveHash(rec);
 }
 
+void SsdCacheBase::ReleaseFrameLocked(Partition& part, int32_t rec) {
+  if (part.table.record(rec).state == SsdFrameState::kDirty) {
+    dirty_frames_.fetch_sub(1);
+  }
+  DetachRecord(part, rec);
+  part.table.PushFree(rec);
+  used_frames_.fetch_sub(1);
+  NoteJournalErase(FrameOf(part, rec));
+}
+
 bool SsdCacheBase::AdmitPage(PageId pid, std::span<const uint8_t> data,
                              AccessKind kind, bool dirty, Lsn page_lsn,
                              IoContext& ctx) {
@@ -281,11 +286,7 @@ bool SsdCacheBase::AdmitPageImpl(PageId pid, std::span<const uint8_t> data,
       if (!w.ok()) {
         // The frame content is now suspect (possibly torn); drop the entry
         // so the caller writes the page to disk instead.
-        if (r.state == SsdFrameState::kDirty) dirty_frames_.fetch_sub(1);
-        DetachRecord(part, rec);
-        part.table.PushFree(rec);
-        used_frames_.fetch_sub(1);
-        NoteJournalErase(FrameOf(part, rec));
+        ReleaseFrameLocked(part, rec);
         return false;
       }
       if (r.state != SsdFrameState::kDirty) {
@@ -309,12 +310,7 @@ bool SsdCacheBase::AdmitPageImpl(PageId pid, std::span<const uint8_t> data,
   if (rec == -1) {
     const int32_t victim = PickVictim(part);
     if (victim == -1) return false;  // nothing replaceable (all dirty)
-    SsdFrameRecord& v = part.table.record(victim);
-    if (v.state == SsdFrameState::kDirty) dirty_frames_.fetch_sub(1);
-    DetachRecord(part, victim);
-    part.table.PushFree(victim);
-    used_frames_.fetch_sub(1);
-    NoteJournalErase(FrameOf(part, victim));
+    ReleaseFrameLocked(part, victim);
     Counters::Bump(counters_.evictions);
     rec = part.table.PopFree();
     TURBOBP_CHECK(rec != -1);
@@ -382,19 +378,6 @@ IoResult SsdCacheBase::WriteFrame(Partition& part, int32_t rec,
   return res;
 }
 
-IoResult SsdCacheBase::ReadFrame(Partition& part, int32_t rec,
-                                 std::span<uint8_t> out, IoContext& ctx) {
-  IoResult res =
-      ssd_device_->Read(FrameOf(part, rec), 1, out, ctx.now, ctx.charge);
-  if (res.ok()) {
-    ctx.Wait(res.time);
-  } else {
-    Counters::Bump(counters_.device_read_errors);
-    RecordDeviceError(part, ctx.now);
-  }
-  return res;
-}
-
 Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
                                        std::span<uint8_t> out, IoContext& ctx,
                                        bool hedge_ok) {
@@ -435,7 +418,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
       const Time deadline_at = svc_begin + options_.read_deadline;
       Counters::Bump(counters_.io_timeouts);
       RecordDeviceError(part, deadline_at);
-      if (hedge_ok && options_.hedge_reads) {
+      if (hedge_ok) {
         ctx.Wait(deadline_at);
         // Scratch buffer: a failed hedge must not clobber the SSD data that
         // the fall-through verification below still wants to inspect.
@@ -575,17 +558,12 @@ void SsdCacheBase::PurgePartitionLocked(Partition& part) {
       continue;
     }
     if (r.state == SsdFrameState::kDirty) {
-      dirty_frames_.fetch_sub(1);
       // Defensive: the salvage hook already wrote (or lost-page-recorded)
       // every dirty frame; a frame still dirty here lost its only copy.
       RecordLostPage(r.page_id);
     }
     if (r.state == SsdFrameState::kInvalid) invalid_frames_.fetch_sub(1);
-    const uint64_t frame = FrameOf(part, rec);
-    DetachRecord(part, rec);
-    part.table.PushFree(rec);
-    used_frames_.fetch_sub(1);
-    NoteJournalErase(frame);
+    ReleaseFrameLocked(part, rec);
   }
 }
 

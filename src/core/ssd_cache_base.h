@@ -29,7 +29,6 @@ struct SsdCacheOptions {
   int throttle_queue_limit = 100;    // mu: skip SSD I/O beyond this queue
   double lc_dirty_fraction = 0.5;    // lambda: LC cleaner high watermark
   int lc_group_pages = 32;           // alpha: max pages per cleaner write
-  double lc_watermark_gap = 0.0001;  // clean to ~0.01% of S below lambda
   // Fault tolerance (src/fault): transient SSD errors and checksum
   // mismatches are retried up to io_retry_limit attempts with
   // io_retry_backoff of virtual time between them. Device errors charge a
@@ -60,7 +59,6 @@ struct SsdCacheOptions {
   // hedged to disk at the deadline instead of waiting out the stall.
   // 0 disables deadlines.
   Time read_deadline = 0;
-  bool hedge_reads = true;
   // Persistent SSD cache: journal the buffer table to a metadata region at
   // the tail of the SSD device (past the frame area), so cache contents
   // survive a restart. The device must provide num_frames +
@@ -243,6 +241,10 @@ class SsdCacheBase : public SsdManager {
 
   // Unlinks `rec` from hash and heap (it stays allocated for reuse).
   void DetachRecord(Partition& part, int32_t rec) TURBOBP_REQUIRES(part.mu);
+  // Returns an in-service `rec` to the free list: dirty and used counts,
+  // detach, free-list push, journal erase.
+  void ReleaseFrameLocked(Partition& part, int32_t rec)
+      TURBOBP_REQUIRES(part.mu);
 
   // Device page holding `rec` of `part`.
   uint64_t FrameOf(const Partition& part, int32_t rec) const {
@@ -255,11 +257,9 @@ class SsdCacheBase : public SsdManager {
   IoResult WriteFrame(Partition& part, int32_t rec,
                       std::span<const uint8_t> data, IoContext& ctx)
       TURBOBP_REQUIRES(part.mu);
-  // Blocking single-frame SSD read into out; advances ctx.now.
-  IoResult ReadFrame(Partition& part, int32_t rec, std::span<uint8_t> out,
-                     IoContext& ctx) TURBOBP_REQUIRES(part.mu);
-  // ReadFrame plus verification that `out` really holds `pid` at a valid
-  // checksum, retrying (re-reading) transient errors and corruptions up to
+  // Blocking single-frame SSD read into `out` (advances ctx.now), verifying
+  // that `out` really holds `pid` at a valid checksum and retrying
+  // (re-reading) transient errors and corruptions up to
   // options().io_retry_limit attempts. kCorruption after the last attempt
   // means the frame itself is bad (candidate for quarantine). With
   // `hedge_ok` (clean frames only: the disk copy is identical) a read whose

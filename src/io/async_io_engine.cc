@@ -1,7 +1,6 @@
 #include "io/async_io_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -10,38 +9,10 @@
 
 namespace turbobp {
 
-namespace {
-
-// Workers only exist to overlap blocking device calls; a handful saturates
-// any real queue depth without spawning a thread per ring slot.
-int NumWorkers(const AsyncIoEngine::Options& options) {
-  return std::max(1, std::min(options.queue_depth, 8));
-}
-
-}  // namespace
-
-AsyncIoEngine::AsyncIoEngine(StorageDevice* device, const Options& options)
-    : device_(device), options_(options) {
+AsyncIoEngine::AsyncIoEngine(StorageDevice* device, int queue_depth)
+    : device_(device), queue_depth_(queue_depth) {
   TURBOBP_CHECK(device_ != nullptr);
-  TURBOBP_CHECK(options_.queue_depth >= 1);
-  TURBOBP_CHECK(options_.max_coalesced_pages >= 1);
-  if (options_.threaded) {
-    workers_.reserve(NumWorkers(options_));
-    for (int i = 0; i < NumWorkers(options_); ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-}
-
-AsyncIoEngine::~AsyncIoEngine() {
-  if (!workers_.empty()) {
-    {
-      EngineLock lock(mu_);
-      stopping_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
+  TURBOBP_CHECK(queue_depth_ >= 1);
 }
 
 AsyncIoEngine::Batch AsyncIoEngine::PopBatchLocked() {
@@ -54,18 +25,14 @@ AsyncIoEngine::Batch AsyncIoEngine::PopBatchLocked() {
   batch.op = head.req.op;
   batch.charge = head.charge;
   batch.total_pages = head.req.num_pages;
-  // Deadline'd requests are never coalesced: the budget must map onto
-  // exactly one device op (a neighbour's pages would inherit its verdict).
-  if (!options_.coalesce || head.no_coalesce || head.req.deadline > 0) {
-    return batch;
-  }
+  if (head.no_coalesce) return batch;
   while (!q.empty()) {
     const Pending& next = q.front();
     const Pending& last = batch.reqs.back();
-    if (next.no_coalesce || next.req.deadline > 0 ||
-        next.req.op != batch.op || next.charge != batch.charge ||
+    if (next.no_coalesce || next.req.op != batch.op ||
+        next.charge != batch.charge ||
         next.req.first_page != last.req.first_page + last.req.num_pages ||
-        batch.total_pages + next.req.num_pages > options_.max_coalesced_pages) {
+        batch.total_pages + next.req.num_pages > kMaxCoalescedPages) {
       break;
     }
     batch.total_pages += next.req.num_pages;
@@ -73,24 +40,6 @@ AsyncIoEngine::Batch AsyncIoEngine::PopBatchLocked() {
     q.pop_front();
   }
   return batch;
-}
-
-void AsyncIoEngine::ApplyDeadlineLocked(Batch& batch, Time at,
-                                        int64_t wall_us) {
-  if (batch.reqs.size() != 1) return;  // deadline'd requests never coalesce
-  const Time deadline = batch.reqs.front().req.deadline;
-  if (deadline <= 0 || !batch.result.ok()) return;
-  const bool late = wall_us >= 0 ? wall_us > deadline
-                                 : batch.result.time > at + deadline;
-  if (!late) return;
-  // Abandoned, not failed: the device may still have performed the op, so
-  // a timed-out WRITE's frame is suspect (callers treat it like a torn
-  // write) and a timed-out read's buffer must be ignored. kTimedOut is not
-  // IsIoError(), so HarvestOne delivers it instead of retrying — that is
-  // what bounds a consumer's wait on a stuck device.
-  batch.result.status = Status::TimedOut("device request exceeded deadline");
-  if (wall_us < 0) batch.result.time = at + deadline;
-  ++stats_.timeouts;
 }
 
 IoResult AsyncIoEngine::IssueBatch(Batch& batch, Time at) {
@@ -149,7 +98,7 @@ void AsyncIoEngine::Kick(Time now) {
   EngineLock lock(mu_);
   clock_ = std::max(clock_, now);
   while (HasStagedLocked() &&
-         static_cast<int>(issued_.size()) + issuing_ < options_.queue_depth) {
+         static_cast<int>(issued_.size()) + issuing_ < queue_depth_) {
     Batch batch = PopBatchLocked();
     Time at = clock_;
     for (Pending& p : batch.reqs) {
@@ -170,7 +119,6 @@ void AsyncIoEngine::Kick(Time now) {
     lock.lock();
     --issuing_;
     batch.result = res;
-    ApplyDeadlineLocked(batch, at, /*wall_us=*/-1);
     issued_.emplace(batch.result.time, std::move(batch));
     reap_cv_.notify_all();
   }
@@ -190,9 +138,7 @@ void AsyncIoEngine::Deliver(Batch batch, std::vector<IoCompletion>* out) {
   }
 }
 
-bool AsyncIoEngine::HarvestOne(Time deadline, std::vector<IoCompletion>* out,
-                               bool* delivered) {
-  *delivered = false;
+bool AsyncIoEngine::HarvestOne(Time deadline, std::vector<IoCompletion>* out) {
   Batch batch;
   {
     EngineLock lock(mu_);
@@ -216,10 +162,10 @@ bool AsyncIoEngine::HarvestOne(Time deadline, std::vector<IoCompletion>* out,
       }
       return true;
     }
-    if (transient && batch.reqs.front().attempts < options_.retry_limit) {
+    if (transient && batch.reqs.front().attempts < kRetryLimit) {
       Pending p = std::move(batch.reqs.front());
       p.no_coalesce = true;
-      p.not_before = batch.result.time + options_.retry_backoff;
+      p.not_before = batch.result.time + kRetryBackoff;
       ++stats_.retries;
       staged_.push_front(std::move(p));
       return true;
@@ -241,7 +187,6 @@ bool AsyncIoEngine::HarvestOne(Time deadline, std::vector<IoCompletion>* out,
     outstanding_ -= n;
   }
   reap_cv_.notify_all();
-  *delivered = true;
   return true;
 }
 
@@ -257,18 +202,10 @@ IoToken AsyncIoEngine::Submit(const AsyncIoRequest& req, IoContext& ctx) {
     // Per-lane backpressure: a backlog of background patrol work must not
     // block (or slow) a foreground submission, and vice versa.
     std::deque<Pending>& q = req.low_priority ? staged_low_ : staged_;
-    if (static_cast<int>(q.size()) >= options_.queue_depth) {
-      ++stats_.queue_full_waits;
-      if (!workers_.empty()) {
-        while (static_cast<int>(q.size()) >= options_.queue_depth &&
-               !stopping_) {
-          space_cv_.wait(lock);
-        }
-      }
-      // Sim backend: the submission queue is a virtual-time model, so a
-      // "full" queue costs latency (the request issues when a slot frees),
-      // never blocks the submitting thread.
-    }
+    // The submission queue is a virtual-time model: a "full" queue costs
+    // latency (the request issues when a slot frees), never blocks the
+    // submitting thread.
+    if (static_cast<int>(q.size()) >= queue_depth_) ++stats_.queue_full_waits;
     token = next_token_++;
     p.token = token;
     ++stats_.submitted;
@@ -280,11 +217,7 @@ IoToken AsyncIoEngine::Submit(const AsyncIoRequest& req, IoContext& ctx) {
     // the write (tests/fault queued-write-lost scenario).
     TURBOBP_CRASH_POINT("io/queued-write");
   }
-  if (!workers_.empty()) {
-    work_cv_.notify_one();
-  } else {
-    Kick(ctx.now);
-  }
+  Kick(ctx.now);
   return token;
 }
 
@@ -292,28 +225,9 @@ std::vector<IoCompletion> AsyncIoEngine::Reap(int max, Time deadline,
                                               IoContext& ctx) {
   std::vector<IoCompletion> out;
   if (max <= 0) return out;
-  if (!workers_.empty()) {
-    // Threaded backend: block until a completion is harvestable or nothing
-    // is outstanding. Wall-clock devices have no virtual deadline.
-    while (static_cast<int>(out.size()) < max) {
-      {
-        EngineLock lock(mu_);
-        while (issued_.empty() && (HasStagedLocked() || issuing_ > 0)) {
-          reap_cv_.wait(lock);
-        }
-        if (issued_.empty()) break;
-      }
-      bool delivered = false;
-      if (!HarvestOne(kTimeMax, &out, &delivered)) break;
-      if (!delivered) work_cv_.notify_one();  // a retry was re-staged
-      if (!out.empty()) break;  // deliver promptly; callers loop as needed
-    }
-    return out;
-  }
   while (static_cast<int>(out.size()) < max) {
     Kick(ctx.now);
-    bool delivered = false;
-    if (!HarvestOne(deadline, &out, &delivered)) break;
+    if (!HarvestOne(deadline, &out)) break;
   }
   return out;
 }
@@ -355,43 +269,6 @@ void AsyncIoEngine::Reset() {
 AsyncIoEngine::Stats AsyncIoEngine::stats() const {
   EngineLock lock(mu_);
   return stats_;
-}
-
-void AsyncIoEngine::WorkerLoop() {
-  EngineLock lock(mu_);
-  while (true) {
-    while (!HasStagedLocked() && !stopping_) work_cv_.wait(lock);
-    if (!HasStagedLocked() && stopping_) return;
-    Batch batch = PopBatchLocked();
-    Time at = clock_;
-    for (Pending& p : batch.reqs) {
-      at = std::max(at, p.not_before);
-      ++p.attempts;
-    }
-    ++stats_.device_ops;
-    if (batch.reqs.size() > 1) {
-      ++stats_.coalesced_batches;
-      stats_.coalesced_pages += batch.total_pages;
-    }
-    ++issuing_;
-    lock.unlock();
-    space_cv_.notify_all();
-    const auto wall_start = std::chrono::steady_clock::now();
-    const IoResult res = IssueBatch(batch, at);
-    const int64_t wall_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    lock.lock();
-    --issuing_;
-    batch.result = res;
-    // Threaded backend: deadlines are wall-clock — the device call's real
-    // duration is what a hung request looks like to a blocked consumer.
-    ApplyDeadlineLocked(batch, at, wall_us);
-    clock_ = std::max(clock_, res.time);
-    issued_.emplace(batch.result.time, std::move(batch));
-    reap_cv_.notify_all();
-  }
 }
 
 }  // namespace turbobp

@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "common/types.h"
@@ -50,16 +49,6 @@ struct AsyncIoRequest {
   std::span<const uint8_t> data{};  // kWrite source
   uint64_t tag = 0;
   IoCompletionFn on_complete;       // optional
-  // Hung-request detection: a per-request completion budget measured from
-  // the instant the request is issued to the device (virtual time in the
-  // sim backend, wall-clock microseconds in the threaded backend; 0 = no
-  // deadline). A request whose device call finishes past its deadline is
-  // delivered as kTimedOut at the deadline instant — it is never retried
-  // (the operation was abandoned, not failed; the device may still have
-  // performed it), so a stuck device can never stall a consumer that
-  // reaps. Deadline'd requests are never coalesced: the budget applies to
-  // exactly one device op.
-  Time deadline = 0;
   // Background lane (scrub patrol, repairs): popped only when the normal
   // submission queue is empty, so maintenance I/O never starves foreground
   // work. Each lane has its own queue_depth worth of staging room.
@@ -71,23 +60,17 @@ struct AsyncIoRequest {
 // most `queue_depth` in flight), and a completion queue harvested by
 // Reap/Drain. See DESIGN.md §12.
 //
-// Two backends share the queues:
-//
-//  * Sim (default). Deterministic virtual time: an issued request calls the
-//    device synchronously (data movement is immediate per the StorageDevice
-//    contract) and records the device-model completion instant. Queue depth
-//    is modelled temporally — when the ring is full the next request is
-//    issued at the earliest in-flight completion, so depth 1 degenerates to
-//    today's call-and-wait serial loop while depth 32 keeps all spindles of
-//    a striped array busy.
-//  * Threaded (options.threaded). A small worker pool pops batches and
-//    performs the blocking device call off-latch; Reap blocks until a
-//    completion is available. This is the backend for FileDevice-class real
-//    devices.
+// Deterministic virtual time: an issued request calls the device
+// synchronously, on the submitting or reaping thread (data movement is
+// immediate per the StorageDevice contract), and records the device-model
+// completion instant. Queue depth is modelled temporally — when the ring is
+// full the next request is issued at the earliest in-flight completion, so
+// depth 1 degenerates to a call-and-wait serial loop while depth 32 keeps
+// all spindles of a striped array busy.
 //
 // Coalescing: contiguous same-op runs on the submission queue are merged
 // into one vectored device request (the paper's multi-page trimming applied
-// at the engine level), bounded by `max_coalesced_pages`. A coalesced batch
+// at the engine level), bounded by kMaxCoalescedPages. A coalesced batch
 // that fails is split and re-issued per request, so one flaky page never
 // re-writes its already-durable neighbours (the per-request bounded-retry
 // contract the checkpoint drain relies on).
@@ -107,16 +90,14 @@ struct AsyncIoRequest {
 // window; the restart matrix sweeps both.
 class AsyncIoEngine {
  public:
-  struct Options {
-    int queue_depth = 32;           // device-issued requests in flight
-    bool coalesce = true;           // merge contiguous same-op runs
-    uint32_t max_coalesced_pages = 8;  // one striped-array stripe unit
-    // Per-request transient-error policy (kIoError only; kUnavailable is a
-    // dead device and never retried).
-    int retry_limit = 3;
-    Time retry_backoff = Millis(1);
-    bool threaded = false;          // worker-pool backend for real devices
-  };
+  // Largest coalesced run: one striped-array stripe unit.
+  static constexpr uint32_t kMaxCoalescedPages = 8;
+  // Transient-error policy of every disk I/O, shared with DiskManager's
+  // blocking calls: up to kRetryLimit device issues per request,
+  // kRetryBackoff of virtual time apart (kIoError only; kUnavailable is a
+  // dead device and never retried).
+  static constexpr int kRetryLimit = 3;
+  static constexpr Time kRetryBackoff = Millis(1);
 
   // Snapshot of the engine counters (taken under the engine mutex).
   struct Stats {
@@ -128,20 +109,19 @@ class AsyncIoEngine {
     int64_t queue_full_waits = 0;   // submissions that found the ring full
     int64_t retries = 0;            // per-request re-issues after kIoError
     int64_t errors = 0;             // completions delivered with !ok()
-    int64_t timeouts = 0;           // completions converted to kTimedOut
   };
 
-  AsyncIoEngine(StorageDevice* device, const Options& options);
+  // `queue_depth`: device-issued requests in flight.
+  explicit AsyncIoEngine(StorageDevice* device, int queue_depth = 32);
   AsyncIoEngine(const AsyncIoEngine&) = delete;
   AsyncIoEngine& operator=(const AsyncIoEngine&) = delete;
-  ~AsyncIoEngine();
 
   StorageDevice* device() { return device_; }
-  int queue_depth() const { return options_.queue_depth; }
+  int queue_depth() const { return queue_depth_; }
 
-  // Enqueues a request; returns its token. Never fails: when the ring is
-  // full the request waits on the submission queue (sim: it will be issued
-  // at the instant a slot frees, in virtual time; threaded: Submit blocks).
+  // Enqueues a request; returns its token. Never fails or blocks: when the
+  // ring is full the request waits on the submission queue and is issued at
+  // the virtual-time instant a slot frees.
   // NOTE on TURBOBP_NO_THREAD_SAFETY_ANALYSIS here and below: the engine
   // juggles std::unique_lock across the device call and the completion
   // callbacks, which Clang's analysis cannot model; the structural checker
@@ -153,9 +133,7 @@ class AsyncIoEngine {
           TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
   // Harvests up to `max` completions whose device finish time is <=
-  // `deadline` (sim; the threaded backend blocks until at least one
-  // completion is available or nothing is outstanding and ignores the
-  // virtual-time deadline). Completion callbacks run here, latch-free, in
+  // `deadline`. Completion callbacks run here, latch-free, in
   // device-completion order.
   std::vector<IoCompletion> Reap(int max, Time deadline, IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
@@ -182,7 +160,7 @@ class AsyncIoEngine {
   bool Idle() const { return Outstanding() == 0; }
 
   // Crash simulation: drops all queued and in-flight bookkeeping without
-  // delivering completions (the sim backend has already moved any issued
+  // delivering completions (issued requests have already moved their
   // data; staged requests vanish, exactly like power loss with a volatile
   // submission queue). Waits out device calls and callbacks running on
   // other threads first. Only meaningful between operations.
@@ -220,34 +198,26 @@ class AsyncIoEngine {
   bool HasStagedLocked() const TURBOBP_REQUIRES(mu_) {
     return !staged_.empty() || !staged_low_.empty();
   }
-  // Converts a late single-request completion to kTimedOut at its deadline.
-  // `wall_us` is the device call's measured wall-clock duration (threaded
-  // backend; pass -1 for the sim backend, which compares the virtual
-  // completion instant against issue time + deadline instead).
-  void ApplyDeadlineLocked(Batch& batch, Time at, int64_t wall_us)
-      TURBOBP_REQUIRES(mu_);
   // Performs the blocking device call for `batch` arriving at `at`
   // (gathers writes / scatters coalesced reads through a bounce buffer).
   // Called with no engine latch held.
   IoResult IssueBatch(Batch& batch, Time at);
-  // Sim backend: issues staged batches while the ring has room, advancing
-  // the engine clock to `now`. Each device call runs with mu_ released and
+  // Issues staged batches while the ring has room, advancing the engine
+  // clock to `now`. Each device call runs with mu_ released and
   // counted in issuing_.
   void Kick(Time now) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   // Moves one harvestable batch out of the ring. Returns false when nothing
   // completes by `deadline`. A transiently-failed batch is re-staged (split
-  // if coalesced) instead of being delivered; `*delivered` tells the caller
-  // whether `out` gained completions.
-  bool HarvestOne(Time deadline, std::vector<IoCompletion>* out,
-                  bool* delivered) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
+  // if coalesced) instead of being delivered.
+  bool HarvestOne(Time deadline, std::vector<IoCompletion>* out)
+      TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   // Builds the per-request completions for a finished batch and invokes
   // callbacks. Called with no engine latch held; the batch stays counted in
   // delivering_ and outstanding_ until it returns.
   void Deliver(Batch batch, std::vector<IoCompletion>* out);
-  void WorkerLoop();
 
   StorageDevice* device_;
-  const Options options_;
+  const int queue_depth_;
 
   mutable EngineMutex mu_;
   std::deque<Pending> staged_ TURBOBP_GUARDED_BY(mu_);
@@ -260,26 +230,20 @@ class AsyncIoEngine {
   // bound compares issued_.size() against queue_depth: a batch occupies its
   // slot until harvested, like an unreaped CQE pinning its ring entry.
   std::multimap<Time, Batch> issued_ TURBOBP_GUARDED_BY(mu_);
-  Time clock_ TURBOBP_GUARDED_BY(mu_) = 0;  // sim: engine virtual time
+  Time clock_ TURBOBP_GUARDED_BY(mu_) = 0;  // engine virtual time
   Time last_completion_ TURBOBP_GUARDED_BY(mu_) = 0;
   IoToken next_token_ TURBOBP_GUARDED_BY(mu_) = 1;
   Stats stats_ TURBOBP_GUARDED_BY(mu_);
   // Requests accepted by Submit and not yet through Deliver (what
   // Outstanding reports). Dropped only after the callbacks return.
   int64_t outstanding_ TURBOBP_GUARDED_BY(mu_) = 0;
-  // Batches some thread holds with mu_ released: mid device call (sim Kick
-  // or a worker; each occupies a ring slot) or mid callbacks in Deliver.
+  // Batches some thread holds with mu_ released: mid device call in Kick
+  // (each occupies a ring slot) or mid callbacks in Deliver.
   // Nobody else can reap them, so Drain and Reset wait for these to drop.
   int issuing_ TURBOBP_GUARDED_BY(mu_) = 0;
   int delivering_ TURBOBP_GUARDED_BY(mu_) = 0;
   // issued_ gained a completion, or issuing_/delivering_ dropped.
   std::condition_variable_any reap_cv_;
-
-  // Threaded backend.
-  std::condition_variable_any work_cv_;   // staged_ gained work / stopping
-  std::condition_variable_any space_cv_;  // staged_ shrank below capacity
-  bool stopping_ TURBOBP_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace turbobp

@@ -5,9 +5,8 @@
 
 namespace turbobp {
 
-DiskManager::DiskManager(StorageDevice* data,
-                         const AsyncIoEngine::Options& engine_options)
-    : data_(data), engine_(data, engine_options) {}
+DiskManager::DiskManager(StorageDevice* data, int queue_depth)
+    : data_(data), engine_(data, queue_depth) {}
 
 Status DiskManager::ReadPage(PageId pid, std::span<uint8_t> out,
                              IoContext& ctx) {
@@ -17,10 +16,10 @@ Status DiskManager::ReadPage(PageId pid, std::span<uint8_t> out,
 Status DiskManager::ReadPages(PageId first, uint32_t n, std::span<uint8_t> out,
                               IoContext& ctx) {
   IoResult res;
-  for (int attempt = 0; attempt < kRetryLimit; ++attempt) {
+  for (int attempt = 0; attempt < AsyncIoEngine::kRetryLimit; ++attempt) {
     if (attempt > 0) {
       io_retries_.fetch_add(1, std::memory_order_relaxed);
-      if (ctx.charge) ctx.now += kRetryBackoff;
+      if (ctx.charge) ctx.now += AsyncIoEngine::kRetryBackoff;
     }
     res = data_->Read(first, n, out, ctx.now, ctx.charge);
     if (res.ok() || res.status.IsUnavailable()) break;
@@ -43,10 +42,10 @@ IoResult DiskManager::WritePage(PageId pid, std::span<const uint8_t> data,
                                 IoContext& ctx) {
   IoResult res;
   Time at = ctx.now;
-  for (int attempt = 0; attempt < kRetryLimit; ++attempt) {
+  for (int attempt = 0; attempt < AsyncIoEngine::kRetryLimit; ++attempt) {
     if (attempt > 0) {
       io_retries_.fetch_add(1, std::memory_order_relaxed);
-      if (ctx.charge) at += kRetryBackoff;
+      if (ctx.charge) at += AsyncIoEngine::kRetryBackoff;
     }
     res = data_->Write(pid, 1, data, at, ctx.charge);
     if (res.ok() || res.status.IsUnavailable()) break;

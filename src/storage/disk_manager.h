@@ -24,19 +24,14 @@ namespace turbobp {
 // the counters below by design; the engine keeps its own stats().
 //
 // The disk array is the durable home of every page, so transient device
-// errors are absorbed with a bounded retry/backoff (here for the blocking
-// calls, per request inside the engine); a request that still fails is
-// surfaced to the caller, for whom a dead disk array (unlike a dead SSD
-// cache) is fatal.
+// errors are absorbed with a bounded retry/backoff — AsyncIoEngine::
+// kRetryLimit attempts, kRetryBackoff apart, here for the blocking calls and
+// per request inside the engine; a request that still fails is surfaced to
+// the caller, for whom a dead disk array (unlike a dead SSD cache) is fatal.
 class DiskManager {
  public:
-  // Transient-error policy: retry up to kRetryLimit attempts, charging
-  // kRetryBackoff of virtual time between attempts.
-  static constexpr int kRetryLimit = 3;
-  static constexpr Time kRetryBackoff = Millis(1);
-
-  explicit DiskManager(StorageDevice* data,
-                       const AsyncIoEngine::Options& engine_options = {});
+  // `queue_depth` is the ring size of io_engine().
+  explicit DiskManager(StorageDevice* data, int queue_depth = 32);
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 

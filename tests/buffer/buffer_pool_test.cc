@@ -253,5 +253,19 @@ TEST_F(BufferPoolTest, AllFramesPinnedPanics) {
                "all frames pinned");
 }
 
+class BufferPoolDeathTest : public BufferPoolTest {};
+
+// Checksum verification is always on: a disk page whose payload no longer
+// matches its sealed checksum panics the fetch instead of being served.
+TEST_F(BufferPoolDeathTest, CorruptDiskPagePanicsOnFetch) {
+  std::vector<uint8_t> buf(kPage);
+  ASSERT_TRUE(disk_dev_->store().Read(42, 1, buf, 0).ok());
+  PageView(buf.data(), kPage).payload()[0] ^= 0xFF;
+  ASSERT_TRUE(disk_dev_->store().Write(42, 1, buf, 0).ok());
+  IoContext ctx;
+  EXPECT_DEATH(pool_->FetchPage(42, AccessKind::kRandom, ctx),
+               "page checksum mismatch");
+}
+
 }  // namespace
 }  // namespace turbobp

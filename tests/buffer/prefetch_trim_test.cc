@@ -161,7 +161,6 @@ TEST_F(PrefetchTrimTest, WarmupExpansionIsCountedSeparatelyFromPrefetch) {
   opts.num_frames = 32;
   opts.page_bytes = kPage;
   opts.expand_reads_until_warm = true;
-  opts.expand_read_pages = 8;
   pool_ = std::make_unique<BufferPool>(opts, disk_.get(), log_.get(),
                                        ssd_.get());
 

@@ -148,8 +148,7 @@ TEST_F(RestartExtensionTest, ReadExpansionDoesNotShadowRestoredDirtyFrame) {
   CrashAndRecover(&restore, rctx);
   ASSERT_GT(restore.restored, 0u);
 
-  const uint32_t expand =
-      system_->config().bp_options.expand_read_pages;
+  const uint32_t expand = BufferPool::kExpandReadPages;
   ASSERT_GT(expand, 1u);
   // A restored dirty page whose disk copy is provably older, with a block
   // neighbour the SSD does not hold (its fetch goes to disk and expands).

@@ -105,7 +105,6 @@ class ChaosSoakTest : public ::testing::TestWithParam<SsdDesign> {
     opts_.recover_error_limit = 1;
     opts_.quiet_window = Millis(500);
     opts_.read_deadline = Millis(20);
-    opts_.hedge_reads = true;
     opts_.scrub_frames_per_tick = 8;
     // Every page the soak touches lives on disk with identical content:
     // clean-frame semantics (and the hedge / scrub-repair paths) depend on

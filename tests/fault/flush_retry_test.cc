@@ -26,7 +26,6 @@ namespace turbobp {
 namespace {
 
 constexpr uint32_t kPage = 512;
-constexpr int kRetryLimit = 3;
 
 // Decorator counting device-level write attempts per page, including
 // attempts the fault layer below will fail: what the retry-bound contract
@@ -81,10 +80,8 @@ class FlushRetryTest : public ::testing::Test {
                                            std::make_unique<HddModel>());
     fault_ = std::make_unique<FaultInjectingDevice>(disk_dev_.get(), plan);
     counter_ = std::make_unique<WriteCountingDevice>(fault_.get());
-    AsyncIoEngine::Options eng;
-    eng.queue_depth = 4;  // drain window = 8 pages
-    eng.retry_limit = kRetryLimit;
-    disk_ = std::make_unique<DiskManager>(counter_.get(), eng);
+    // Queue depth 4: drain window = 8 pages.
+    disk_ = std::make_unique<DiskManager>(counter_.get(), 4);
     log_ = std::make_unique<LogManager>(log_dev_.get());
     BufferPool::Options opts;
     opts.num_frames = 16;
@@ -144,9 +141,9 @@ TEST_F(FlushRetryTest, TransientEioRetriesThePageNotTheDrain) {
     if (n == 2) ++twice;
     if (n == 3) ++thrice;
   }
-  // The hard bound: no page is ever written more than retry_limit times in
+  // The hard bound: no page is ever written more than kRetryLimit times in
   // one drain, no matter how the faults land.
-  EXPECT_LE(max_writes, kRetryLimit);
+  EXPECT_LE(max_writes, AsyncIoEngine::kRetryLimit);
   // The shape: one flaky page re-retried, its three batch neighbours
   // re-issued exactly once, the other four untouched by the failure.
   EXPECT_EQ(thrice, 1);

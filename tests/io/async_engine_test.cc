@@ -2,10 +2,9 @@
 // queue-full backpressure, the fault-injected completion sweep (transient
 // EIO with split retry and bounded per-request re-issue, torn writes
 // surfacing at reap time, dead devices never retried), crash-reset
-// semantics for the volatile submission queue, a threaded-backend
-// concurrent submit/reap stress, and Drain's wait on requests another
-// thread holds mid device call or mid callback. The TSan CI job runs this
-// file.
+// semantics for the volatile submission queue, a many-submitter
+// many-reaper stress, and Drain's wait on requests another thread holds mid
+// device call or mid callback. The TSan CI job runs this file.
 
 #include "io/async_io_engine.h"
 
@@ -62,7 +61,7 @@ AsyncIoRequest ReadReq(PageId pid, std::span<uint8_t> out) {
 
 TEST(AsyncEngineTest, RoundTripThroughDeepQueue) {
   MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 8});
+  AsyncIoEngine engine(&dev, 8);
   IoContext ctx = Ctx();
 
   std::vector<std::vector<uint8_t>> data;
@@ -88,7 +87,7 @@ TEST(AsyncEngineTest, RoundTripThroughDeepQueue) {
 
 TEST(AsyncEngineTest, CallbacksRunOnReapWithCorrelationState) {
   MemDevice dev(16, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4});
+  AsyncIoEngine engine(&dev, 4);
   IoContext ctx = Ctx();
 
   auto data = Fill(0x77);
@@ -116,13 +115,14 @@ TEST(AsyncEngineTest, CallbacksRunOnReapWithCorrelationState) {
 TEST(AsyncEngineTest, CompletionsDeliverInDeviceCompletionOrder) {
   // Two spindles: page 0 and page 8 land on different disks and proceed in
   // parallel; the harvest order must follow device completion instants,
-  // not submission order.
+  // not submission order. The pages are non-adjacent, so nothing coalesces
+  // and every request is its own device op.
   StripedDiskArray::Options opt;
   opt.num_spindles = 4;
   opt.stripe_pages = 8;
   opt.hdd.page_bytes = kPage;
   StripedDiskArray array(256, kPage, opt);
-  AsyncIoEngine engine(&array, {.queue_depth = 32, .coalesce = false});
+  AsyncIoEngine engine(&array, 32);
   IoContext ctx = Ctx();
 
   std::vector<std::vector<uint8_t>> out(8, std::vector<uint8_t>(kPage));
@@ -135,12 +135,13 @@ TEST(AsyncEngineTest, CompletionsDeliverInDeviceCompletionOrder) {
     EXPECT_GE(got[i].result.time, got[i - 1].result.time)
         << "completion " << i << " harvested out of device order";
   }
+  EXPECT_EQ(engine.stats().device_ops, 8);
 }
 
 TEST(AsyncEngineTest, DrainReturnsLastCompletionInstant) {
   SimDevice dev(64, kPage, std::make_unique<HddModel>(HddParams{
                                .page_bytes = kPage}));
-  AsyncIoEngine engine(&dev, {.queue_depth = 8});
+  AsyncIoEngine engine(&dev, 8);
   IoContext ctx = Ctx();
   auto data = Fill(0x01);
   Time max_done = 0;
@@ -162,8 +163,7 @@ TEST(AsyncEngineTest, DrainReturnsLastCompletionInstant) {
 
 TEST(AsyncEngineTest, ContiguousRunCoalescesIntoOneVectoredOp) {
   MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev,
-                       {.queue_depth = 1, .max_coalesced_pages = 8});
+  AsyncIoEngine engine(&dev, 1);
   IoContext ctx = Ctx();
 
   // Depth 1 keeps the first request in flight while the rest stage, so the
@@ -197,8 +197,7 @@ TEST(AsyncEngineTest, CoalescedReadScattersIntoPerRequestSpans) {
     data.push_back(Fill(uint8_t(0xA0 + i)));
     ASSERT_TRUE(dev.Write(PageId(i), 1, data[i], 0).ok());
   }
-  AsyncIoEngine engine(&dev,
-                       {.queue_depth = 1, .max_coalesced_pages = 8});
+  AsyncIoEngine engine(&dev, 1);
   IoContext ctx = Ctx();
   std::vector<std::vector<uint8_t>> out(9, std::vector<uint8_t>(kPage));
   // Pad with one request so pages 1..8 queue behind it and coalesce.
@@ -213,8 +212,7 @@ TEST(AsyncEngineTest, CoalescedReadScattersIntoPerRequestSpans) {
 
 TEST(AsyncEngineTest, GapOrOpChangeBreaksTheRun) {
   MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev,
-                       {.queue_depth = 1, .max_coalesced_pages = 8});
+  AsyncIoEngine engine(&dev, 1);
   IoContext ctx = Ctx();
   auto data = Fill(0x31);
   std::vector<uint8_t> out(kPage);
@@ -234,31 +232,36 @@ TEST(AsyncEngineTest, GapOrOpChangeBreaksTheRun) {
 
 TEST(AsyncEngineTest, MaxCoalescedPagesBoundsTheBatch) {
   MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev,
-                       {.queue_depth = 1, .max_coalesced_pages = 4});
+  AsyncIoEngine engine(&dev, 1);
   IoContext ctx = Ctx();
   auto data = Fill(0x13);
   engine.Submit(WriteReq(32, data), ctx);  // fills the depth-1 ring
-  for (int i = 0; i < 8; ++i) engine.Submit(WriteReq(PageId(i), data), ctx);
+  for (int i = 0; i < 12; ++i) engine.Submit(WriteReq(PageId(i), data), ctx);
   engine.Drain(ctx);
-  // Ops: [32], [0..3], [4..7].
-  EXPECT_EQ(engine.stats().device_ops, 3);
-  EXPECT_EQ(engine.stats().coalesced_batches, 2);
+  // Ops: [32], [0..7], [8..11]: the 12-page run splits at the bound.
+  static_assert(AsyncIoEngine::kMaxCoalescedPages == 8);
+  const AsyncIoEngine::Stats s = engine.stats();
+  EXPECT_EQ(s.device_ops, 3);
+  EXPECT_EQ(s.coalesced_batches, 2);
+  EXPECT_EQ(s.coalesced_pages, 12);
 }
 
 // ----------------------------------------------------------- backpressure
 
 TEST(AsyncEngineTest, SubmitNeverDropsWhenTheQueueIsFull) {
   MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 1, .coalesce = false});
+  AsyncIoEngine engine(&dev, 1);
   IoContext ctx = Ctx();
   auto data = Fill(0x66);
+  // Non-adjacent pages: nothing coalesces, so five requests stage behind
+  // the one in flight.
   for (int i = 0; i < 6; ++i) {
     EXPECT_NE(engine.Submit(WriteReq(PageId(i * 3), data), ctx), 0u);
   }
   EXPECT_GE(engine.stats().queue_full_waits, 1);
   engine.Drain(ctx);
   EXPECT_EQ(engine.stats().completed, 6);
+  EXPECT_EQ(engine.stats().coalesced_batches, 0);
 }
 
 // --------------------------------------------- fault-injected completions
@@ -268,8 +271,7 @@ TEST(AsyncEngineTest, TransientBatchFailureSplitsAndRetriesPerRequest) {
   FaultPlan plan;
   plan.scripted[1] = FaultKind::kTransientError;  // the coalesced write
   FaultInjectingDevice dev(&mem, plan);
-  AsyncIoEngine engine(&dev,
-                       {.queue_depth = 1, .max_coalesced_pages = 8});
+  AsyncIoEngine engine(&dev, 1);
   IoContext ctx = Ctx();
 
   std::vector<std::vector<uint8_t>> data;
@@ -310,7 +312,7 @@ TEST(AsyncEngineTest, TransientSingleRequestRetriesWithinTheLimit) {
   plan.scripted[0] = FaultKind::kTransientError;
   plan.scripted[1] = FaultKind::kTransientError;
   FaultInjectingDevice dev(&mem, plan);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4, .retry_limit = 3});
+  AsyncIoEngine engine(&dev, 4);
   IoContext ctx = Ctx();
   auto data = Fill(0xCE);
   bool ok = false;
@@ -323,7 +325,7 @@ TEST(AsyncEngineTest, TransientSingleRequestRetriesWithinTheLimit) {
   EXPECT_EQ(s.retries, 2);
   EXPECT_EQ(s.errors, 0);
   EXPECT_EQ(s.completed, 1);
-  EXPECT_EQ(s.device_ops, 3);  // never more than retry_limit issues
+  EXPECT_EQ(s.device_ops, 3);  // never more than kRetryLimit issues
 }
 
 TEST(AsyncEngineTest, RetryExhaustionDeliversTheErrorCompletion) {
@@ -331,7 +333,7 @@ TEST(AsyncEngineTest, RetryExhaustionDeliversTheErrorCompletion) {
   FaultPlan plan;
   for (int i = 0; i < 8; ++i) plan.scripted[i] = FaultKind::kTransientError;
   FaultInjectingDevice dev(&mem, plan);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4, .retry_limit = 3});
+  AsyncIoEngine engine(&dev, 4);
   IoContext ctx = Ctx();
   auto data = Fill(0xDD);
   int fired = 0;
@@ -345,7 +347,7 @@ TEST(AsyncEngineTest, RetryExhaustionDeliversTheErrorCompletion) {
   engine.Drain(ctx);
   EXPECT_EQ(fired, 1);
   const AsyncIoEngine::Stats s = engine.stats();
-  // Exactly retry_limit device issues: the original plus two re-issues.
+  // Exactly kRetryLimit device issues: the original plus two re-issues.
   EXPECT_EQ(s.device_ops, 3);
   EXPECT_EQ(s.retries, 2);
   EXPECT_EQ(s.errors, 1);
@@ -357,7 +359,7 @@ TEST(AsyncEngineTest, DeadDeviceIsNeverRetried) {
   FaultPlan plan;
   FaultInjectingDevice dev(&mem, plan);
   dev.ForceOffline();
-  AsyncIoEngine engine(&dev, {.queue_depth = 4, .retry_limit = 3});
+  AsyncIoEngine engine(&dev, 4);
   IoContext ctx = Ctx();
   auto data = Fill(0xEE);
   engine.Submit(WriteReq(1, data), ctx);
@@ -373,7 +375,7 @@ TEST(AsyncEngineTest, TornWriteSurfacesAtReapTimeNotSubmitTime) {
   FaultPlan plan;
   plan.scripted[1] = FaultKind::kTornWrite;
   FaultInjectingDevice dev(&mem, plan);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4});
+  AsyncIoEngine engine(&dev, 4);
   IoContext ctx = Ctx();
   auto old_content = Fill(0xAA);
   auto new_content = Fill(0xBB);
@@ -401,7 +403,7 @@ TEST(AsyncEngineTest, TornWriteSurfacesAtReapTimeNotSubmitTime) {
 
 TEST(AsyncEngineTest, ResetLosesStagedWritesButKeepsIssuedOnes) {
   MemDevice dev(64, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 1, .coalesce = false});
+  AsyncIoEngine engine(&dev, 1);
   IoContext ctx = Ctx();
   auto data = Fill(0x99);
   engine.Submit(WriteReq(10, data), ctx);  // issued (fills the ring)
@@ -431,7 +433,7 @@ TEST(AsyncEngineTest, DeepQueueOverlapsSpindlesOfAStripedArray) {
 
   auto drain_time = [&](int depth) {
     StripedDiskArray array(1024, kPage, opt);
-    AsyncIoEngine engine(&array, {.queue_depth = depth, .coalesce = false});
+    AsyncIoEngine engine(&array, depth);
     IoContext ctx = Ctx();
     std::vector<std::vector<uint8_t>> out(32, std::vector<uint8_t>(kPage));
     for (int i = 0; i < 32; ++i) {
@@ -448,15 +450,20 @@ TEST(AsyncEngineTest, DeepQueueOverlapsSpindlesOfAStripedArray) {
       << "us deep=" << deep << "us)";
 }
 
-// ------------------------------------------------- threaded backend (TSan)
+// ------------------------------------------- concurrent submit/reap (TSan)
 
-TEST(AsyncEngineTest, ThreadedBackendConcurrentSubmitReapStress) {
+// The real-thread driver's pattern: many threads submit (each issuing
+// inside Submit while the ring has room) while others reap, all on one
+// engine. Every request completes exactly once and its callback runs
+// exactly once.
+
+TEST(AsyncEngineTest, ConcurrentSubmitReapStress) {
   constexpr int kSubmitters = 4;
   constexpr int kPerThread = 64;
   constexpr int kTotal = kSubmitters * kPerThread;
 
   MemDevice dev(kTotal + 1, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 16, .threaded = true});
+  AsyncIoEngine engine(&dev, 16);
   std::atomic<int> callbacks{0};
 
   // Per-thread preallocated buffers: spans must outlive their reap.
@@ -516,22 +523,6 @@ TEST(AsyncEngineTest, ThreadedBackendConcurrentSubmitReapStress) {
   EXPECT_TRUE(engine.Idle());
 }
 
-TEST(AsyncEngineTest, ThreadedBackendDrainsOnDestruction) {
-  MemDevice dev(32, kPage);
-  auto data = Fill(0x24);
-  {
-    AsyncIoEngine engine(&dev, {.queue_depth = 2, .threaded = true});
-    IoContext ctx = Ctx();
-    for (int i = 0; i < 8; ++i) {
-      engine.Submit(WriteReq(PageId(i), data), ctx);
-    }
-    // Destructor: workers finish the staged queue before joining.
-  }
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_TRUE(dev.IsMaterialized(PageId(i))) << "page " << i;
-  }
-}
-
 // ------------------------------------------- cross-thread drain (TSan)
 
 // Thread A's Reap harvests the request thread B submitted and runs its
@@ -540,7 +531,7 @@ TEST(AsyncEngineTest, ThreadedBackendDrainsOnDestruction) {
 // outstanding even though no queue holds it any more.
 TEST(AsyncEngineTest, DrainWaitsForACallbackRunningOnAnotherThread) {
   MemDevice dev(16, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4});
+  AsyncIoEngine engine(&dev, 4);
   auto data = Fill(0x31);
 
   std::promise<void> entered;
@@ -607,7 +598,7 @@ class GatedWriteDevice : public MemDevice {
 // no queue, and a Drain on another thread must still wait for it.
 TEST(AsyncEngineTest, DrainWaitsForADeviceCallInProgressOnAnotherThread) {
   GatedWriteDevice dev(16, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4});
+  AsyncIoEngine engine(&dev, 4);
   auto data = Fill(0x32);
 
   std::thread submitter([&] {
@@ -631,88 +622,6 @@ TEST(AsyncEngineTest, DrainWaitsForADeviceCallInProgressOnAnotherThread) {
   EXPECT_TRUE(engine.Idle());
   EXPECT_EQ(engine.stats().completed, 1);
   EXPECT_TRUE(dev.IsMaterialized(3));
-}
-
-// ------------------------------------------------------------ deadlines
-
-// A stuck request (the device answers, but seconds late, with no error)
-// converts to kTimedOut at its deadline instant: a consumer that reaps is
-// unblocked at issue + deadline, never at the device's real completion —
-// the engine half of "a hung SSD can never stall a fetch indefinitely".
-// The operation was abandoned, not failed, so it is never retried.
-TEST(AsyncEngineTest, StuckRequestDeliversTimedOutAtTheDeadline) {
-  MemDevice mem(16, kPage);
-  FaultPlan plan;
-  plan.scripted[0] = FaultKind::kStuckIo;
-  plan.stuck_delay = Seconds(2);
-  FaultInjectingDevice dev(&mem, plan);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4});
-  IoContext ctx = Ctx();
-
-  std::vector<uint8_t> out(kPage);
-  AsyncIoRequest req = ReadReq(3, out);
-  req.deadline = Millis(10);
-  ASSERT_NE(engine.Submit(req, ctx), 0u);
-
-  // Reap far before the stuck completion (2s away): the timed-out
-  // completion must already be harvestable at the deadline instant.
-  const std::vector<IoCompletion> done = engine.Reap(8, Millis(100), ctx);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_TRUE(done[0].result.status.IsTimedOut())
-      << done[0].result.status.ToString();
-  EXPECT_EQ(done[0].result.time, Millis(10));
-  EXPECT_LT(done[0].result.time, plan.stuck_delay);
-  EXPECT_TRUE(engine.Idle());
-
-  const AsyncIoEngine::Stats s = engine.stats();
-  EXPECT_EQ(s.timeouts, 1);
-  EXPECT_EQ(s.retries, 0);
-}
-
-// A deadline generous enough for the device changes nothing: data round
-// trips, no timeout is recorded, and stats stay clean.
-TEST(AsyncEngineTest, OnTimeRequestPassesItsDeadlineUntouched) {
-  MemDevice dev(16, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 4});
-  IoContext ctx = Ctx();
-
-  const auto data = Fill(0x5A);
-  AsyncIoRequest w = WriteReq(5, data);
-  w.deadline = Seconds(1);
-  ASSERT_NE(engine.Submit(w, ctx), 0u);
-  engine.Drain(ctx);
-
-  std::vector<uint8_t> out(kPage);
-  AsyncIoRequest r = ReadReq(5, out);
-  r.deadline = Seconds(1);
-  ASSERT_NE(engine.Submit(r, ctx), 0u);
-  engine.Drain(ctx);
-
-  EXPECT_EQ(out, data);
-  const AsyncIoEngine::Stats s = engine.stats();
-  EXPECT_EQ(s.timeouts, 0);
-  EXPECT_EQ(s.errors, 0);
-}
-
-// Deadline'd requests are never coalesced: each budget covers exactly one
-// device op, so a contiguous run of them issues one op per request.
-TEST(AsyncEngineTest, DeadlinedRequestsNeverCoalesce) {
-  MemDevice dev(32, kPage);
-  AsyncIoEngine engine(&dev, {.queue_depth = 1});  // force staging
-  IoContext ctx = Ctx();
-
-  const auto data = Fill(0x11);
-  for (int i = 0; i < 4; ++i) {
-    AsyncIoRequest w = WriteReq(PageId(8 + i), data);
-    w.deadline = Seconds(1);
-    ASSERT_NE(engine.Submit(w, ctx), 0u);
-  }
-  engine.Drain(ctx);
-
-  const AsyncIoEngine::Stats s = engine.stats();
-  EXPECT_EQ(s.device_ops, 4);
-  EXPECT_EQ(s.coalesced_batches, 0);
-  EXPECT_EQ(s.timeouts, 0);
 }
 
 }  // namespace

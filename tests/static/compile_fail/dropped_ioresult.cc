@@ -13,10 +13,10 @@ void BadDroppedWrite(StorageDevice* device_, std::span<const uint8_t> data) {
   device_->Write(0, 1, data, 0);  // BAD: IoResult dropped on the floor
 }
 
-void BadDroppedFrameRead(Partition& part, int32_t rec, uint64_t pid,
-                         std::span<uint8_t> out, IoContext& ctx) {
+void BadDroppedFrameWrite(Partition& part, int32_t rec,
+                          std::span<const uint8_t> data, IoContext& ctx) {
   TrackedLockGuard lock(part.mu);
-  ReadFrame(part, rec, out, ctx);  // BAD: IoResult dropped on the floor
+  WriteFrame(part, rec, data, ctx);  // BAD: IoResult dropped on the floor
 }
 
 }  // namespace turbobp

@@ -83,7 +83,7 @@ CRASH_POINT_DIRS = ("src/buffer", "src/core", "src/wal", "src/engine",
 # Method names that are blocking device I/O wherever they appear.
 IO_CALL_ANY_RECV = {
     "ReadPage", "ReadPages", "WritePage",
-    "WriteFrame", "ReadFrame", "ReadFrameVerified",
+    "WriteFrame", "ReadFrameVerified",
     "FlushTo", "CommitForce",
 }
 # Read/Write count as device I/O only through a device-like receiver
@@ -118,7 +118,7 @@ LEAF_LATCHES = {"kSsdScrub"}
 # Functions whose IoResult/Status return must be consumed.
 RESULT_FNS_ANY_RECV = {
     "ReadPage", "ReadPages", "WritePage",
-    "WriteFrame", "ReadFrame", "ReadFrameVerified",
+    "WriteFrame", "ReadFrameVerified",
 }
 RESULT_FNS_DEVICE_RECV = {"Read", "Write"}
 
