@@ -95,7 +95,7 @@ bool LazyCleaningCache::OldestDirty(Partition** part, int32_t* rec) {
     TrackedLockGuard lock(p->mu);
     const int32_t root = p->heap.DirtyRoot();
     if (root == -1) continue;
-    const double key = static_cast<double>(p->table.record(root).Lru2Key());
+    const double key = p->heap.KeyOf(root);
     if (*rec == -1 || key < best_key) {
       best_key = key;
       *part = p.get();

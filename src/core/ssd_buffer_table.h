@@ -32,10 +32,10 @@ struct SsdFrameRecord {
   int32_t heap_pos = -1;             // slot in the SSD heap array, -1 if none
   SsdFrameState state = SsdFrameState::kFree;
   AccessKind kind = AccessKind::kRandom;
-  // Heap-ordering key as of the last sift. The LRU-2 designs keep this in
-  // sync with Lru2Key(); TAC stores the extent-temperature snapshot here
-  // (temperatures rise between sifts, so the victim loop re-validates).
-  double key_snapshot = 0.0;
+  // TAC's heap key: the extent temperature as of the frame's admission,
+  // re-validation or last victim check (temperatures rise between sifts,
+  // so TAC's victim loop re-validates). Unused by the LRU-2 designs.
+  double temperature = 0.0;
 
   // LRU-2 ordering key: backward-2 distance, i.e. the penultimate access
   // time (0 until the page has been touched twice, making once-touched

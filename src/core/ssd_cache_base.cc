@@ -13,7 +13,7 @@ namespace turbobp {
 
 SsdCacheBase::SsdCacheBase(StorageDevice* ssd_device, DiskManager* disk,
                            const SsdCacheOptions& options,
-                           SimExecutor* executor)
+                           SimExecutor* executor, bool temperature_key)
     : options_(options),
       ssd_device_(ssd_device),
       disk_(disk),
@@ -30,16 +30,9 @@ SsdCacheBase::SsdCacheBase(StorageDevice* ssd_device, DiskManager* disk,
   for (int i = 0; i < n; ++i) {
     const int64_t cap = std::min<int64_t>(per_part, options.num_frames - base);
     if (cap <= 0) break;
-    // The heap's key function closes over the partition, which does not
-    // exist until construction finishes; construct with a placeholder key
-    // and install the real one immediately after.
-    auto part =
-        std::make_unique<Partition>(static_cast<int32_t>(cap), SsdSplitHeap::KeyFn{});
-    Partition* p = part.get();
-    p->heap = SsdSplitHeap(
-        &p->table,
-        [this, p](int32_t rec) { return HeapKeyForCallback(*p, rec); });
-    p->frame_base = base;
+    auto part = std::make_unique<Partition>(static_cast<int32_t>(cap),
+                                            temperature_key);
+    part->frame_base = base;
     base += cap;
     partitions_.push_back(std::move(part));
   }
@@ -77,10 +70,6 @@ SsdCacheBase::SsdCacheBase(StorageDevice* ssd_device, DiskManager* disk,
                             if (a != nullptr && *a) ScrubStep();
                           });
   }
-}
-
-double SsdCacheBase::HeapKey(const Partition& part, int32_t rec) const {
-  return static_cast<double>(part.table.record(rec).Lru2Key());
 }
 
 SsdProbe SsdCacheBase::Probe(PageId pid) const {

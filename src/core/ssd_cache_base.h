@@ -73,8 +73,11 @@ struct SsdCacheOptions {
 // paths. Concrete designs supply the eviction-time behaviour.
 class SsdCacheBase : public SsdManager {
  public:
+  // `temperature_key` orders every partition's heap by the records'
+  // extent-temperature snapshots (TAC) instead of LRU-2.
   SsdCacheBase(StorageDevice* ssd_device, DiskManager* disk,
-               const SsdCacheOptions& options, SimExecutor* executor);
+               const SsdCacheOptions& options, SimExecutor* executor,
+               bool temperature_key = false);
 
   // --- SsdManager parts common to all designs -------------------------------
 
@@ -167,10 +170,12 @@ class SsdCacheBase : public SsdManager {
 
  protected:
   struct Partition {
-    Partition(int32_t cap, SsdSplitHeap::KeyFn key)
-        : table(cap), heap(&table, std::move(key)), capacity(cap) {}
+    Partition(int32_t cap, bool temperature_key)
+        : table(cap),
+          heap(&table, SsdFrameKey{&table, temperature_key}),
+          capacity(cap) {}
     SsdBufferTable table TURBOBP_GUARDED_BY(mu);
-    SsdSplitHeap heap TURBOBP_GUARDED_BY(mu);
+    SsdSplitHeap<> heap TURBOBP_GUARDED_BY(mu);
     int64_t frame_base = 0;  // device page of this partition's frame 0
     int32_t capacity = 0;    // table.capacity(), readable without mu
     // Health state (self-healing v2). Plain atomics, not guarded by mu:
@@ -200,18 +205,6 @@ class SsdCacheBase : public SsdManager {
   }
   const Partition& PartitionFor(PageId pid) const {
     return const_cast<SsdCacheBase*>(this)->PartitionFor(pid);
-  }
-
-  // The per-partition heap key; LRU-2 by default, overridden by TAC.
-  virtual double HeapKey(const Partition& part, int32_t rec) const
-      TURBOBP_REQUIRES(part.mu);
-  // Shim for the heap's key callback: SsdSplitHeap invokes its KeyFn only
-  // from operations that already run under the partition latch, but the
-  // lambda capture cannot carry that proof — so the callback routes through
-  // this unchecked hop instead of silencing the whole call chain.
-  double HeapKeyForCallback(const Partition& part, int32_t rec) const
-      TURBOBP_NO_THREAD_SAFETY_ANALYSIS {
-    return HeapKey(part, rec);
   }
 
   // Admission policy of Section 2.2: below the aggressive-fill threshold

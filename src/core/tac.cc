@@ -18,15 +18,12 @@ constexpr Time kAdmissionDelay = Micros(200);
 TacCache::TacCache(StorageDevice* ssd_device, DiskManager* disk,
                    const SsdCacheOptions& options, SimExecutor* executor,
                    uint64_t db_pages, int extent_pages)
-    : SsdCacheBase(ssd_device, disk, options, executor),
+    : SsdCacheBase(ssd_device, disk, options, executor,
+                   /*temperature_key=*/true),
       extent_pages_(extent_pages) {
   TURBOBP_CHECK(extent_pages > 0);
   const uint64_t extents = db_pages / static_cast<uint64_t>(extent_pages) + 1;
   temperatures_ = std::make_unique<std::atomic<double>[]>(extents);
-}
-
-double TacCache::HeapKey(const Partition& part, int32_t rec) const {
-  return part.table.record(rec).key_snapshot;
 }
 
 void TacCache::OnBufferPoolMiss(PageId pid, AccessKind kind, IoContext& ctx) {
@@ -62,8 +59,7 @@ void TacCache::OnDiskRead(PageId pid, std::span<const uint8_t> data,
     // page (which PickVictim will then replace).
     if (part.table.used() >= part.table.capacity()) {
       const int32_t coldest = PickVictim(part);
-      if (coldest == -1 ||
-          temp <= part.table.record(coldest).key_snapshot) {
+      if (coldest == -1 || temp <= part.heap.KeyOf(coldest)) {
         return;  // not hot enough
       }
     }
@@ -111,7 +107,7 @@ void TacCache::OnDiskRead(PageId pid, std::span<const uint8_t> data,
       const int32_t rec = pp.table.Lookup(pid);
       if (rec != -1) {
         SsdFrameRecord& r = pp.table.record(rec);
-        r.key_snapshot = snapshot;
+        r.temperature = snapshot;
         pp.heap.UpdateKey(rec);
         TrackedLockGuard llock(latch_mu_);
         latch_busy_[pid] = r.ready_at;
@@ -191,7 +187,7 @@ EvictionOutcome TacCache::OnEvictDirty(PageId pid,
     // Record the content LSN (like every other clean admission): the warm
     // restart verifies a restored frame's header against it.
     r.page_lsn = page_lsn;
-    r.key_snapshot = ExtentTemperature(pid);
+    r.temperature = ExtentTemperature(pid);
     part.heap.InsertClean(rec);
     invalid_frames_.fetch_sub(1);
     r.ready_at = w.time;
@@ -208,8 +204,8 @@ int32_t TacCache::PickVictim(Partition& part) {
   for (int guard = 0; guard < 64 && coldest != -1; ++guard) {
     SsdFrameRecord& c = part.table.record(coldest);
     const double live = ExtentTemperature(c.page_id);
-    if (live == c.key_snapshot) return coldest;
-    c.key_snapshot = live;
+    if (live == c.temperature) return coldest;
+    c.temperature = live;
     part.heap.UpdateKey(coldest);
     coldest = part.heap.CleanRoot();
   }

@@ -60,8 +60,8 @@ class TacCache : public SsdCacheBase {
 
  protected:
   // TAC replaces the *coldest valid* SSD page by extent temperature, not
-  // the LRU-2 victim.
-  double HeapKey(const Partition& part, int32_t rec) const override;
+  // the LRU-2 victim: its heaps order by the records' temperature snapshots
+  // (the SsdCacheBase temperature key), refreshed lazily here.
   int32_t PickVictim(Partition& part) override;
 
  private:

@@ -196,7 +196,7 @@ AuditReport InvariantAuditor::AuditSsdCache(const SsdCacheBase& cache) {
     if (part_degraded) ++degraded_total;
     TrackedLockGuard lock(part.mu);
     const SsdBufferTable& table = part.table;
-    const SsdSplitHeap& heap = part.heap;
+    const SsdSplitHeap<>& heap = part.heap;
     const int32_t cap = table.capacity();
 
     // Heap-internal order and position bookkeeping.
@@ -371,7 +371,7 @@ AuditReport InvariantAuditor::AuditSsdCache(const SsdCacheBase& cache) {
     // Heap slots -> record states (the other direction of the membership
     // checks above, so a record/heap disagreement is caught from both ends).
     for (int32_t i = 0; i < heap.clean_size(); ++i) {
-      const int32_t rec = heap.SlotAt(SsdSplitHeap::kClean, i);
+      const int32_t rec = heap.SlotAt(SsdSplitHeap<>::kClean, i);
       if (rec < 0 || rec >= cap) continue;  // CheckInvariants reported it
       if (table.record(rec).state != SsdFrameState::kClean) {
         report.Add("ssd.heap", where + ": clean-heap slot " +
@@ -381,7 +381,7 @@ AuditReport InvariantAuditor::AuditSsdCache(const SsdCacheBase& cache) {
       }
     }
     for (int32_t i = 0; i < heap.dirty_size(); ++i) {
-      const int32_t rec = heap.SlotAt(SsdSplitHeap::kDirty, i);
+      const int32_t rec = heap.SlotAt(SsdSplitHeap<>::kDirty, i);
       if (rec < 0 || rec >= cap) continue;
       if (table.record(rec).state != SsdFrameState::kDirty) {
         report.Add("ssd.heap", where + ": dirty-heap slot " +
@@ -557,7 +557,7 @@ SsdBufferTable& AuditAccess::Table(SsdCacheBase& cache, size_t partition) {
   return cache.partitions_.at(partition)->table;
 }
 
-SsdSplitHeap& AuditAccess::Heap(SsdCacheBase& cache, size_t partition) {
+SsdSplitHeap<>& AuditAccess::Heap(SsdCacheBase& cache, size_t partition) {
   return cache.partitions_.at(partition)->heap;
 }
 

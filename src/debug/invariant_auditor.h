@@ -13,6 +13,8 @@ namespace turbobp {
 class BufferPool;
 class SsdCacheBase;
 class SsdBufferTable;
+struct SsdFrameKey;
+template <typename Key>
 class SsdSplitHeap;
 class SsdManager;
 enum class SsdFrameState : uint8_t;
@@ -104,7 +106,8 @@ struct AuditAccess {
   static size_t NumPartitions(const SsdCacheBase& cache);
   static size_t PartitionIndexOf(const SsdCacheBase& cache, PageId pid);
   static SsdBufferTable& Table(SsdCacheBase& cache, size_t partition);
-  static SsdSplitHeap& Heap(SsdCacheBase& cache, size_t partition);
+  static SsdSplitHeap<SsdFrameKey>& Heap(SsdCacheBase& cache,
+                                         size_t partition);
   static std::atomic<int64_t>& DirtyFrames(SsdCacheBase& cache);
 
   // Rewires pool.page_table_[pid] = frame (frame == -1 erases the entry).

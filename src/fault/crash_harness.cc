@@ -485,48 +485,38 @@ std::string ComparePages(DbSystem& a, DbSystem& b,
   return "";
 }
 
+// "[design=.. seed=.. point=.. hit=.. <restart>]"; `restart` names the
+// recovery mode ("torn=0", "torn=1" or "warm ssd_fault=..").
 std::string Label(const CrashHarnessOptions& o, const std::string& point,
-                  int hit, bool torn) {
+                  int hit, const std::string& restart) {
   return std::string("[design=") + ToString(o.design) +
          " seed=" + std::to_string(o.seed) + " point=" + point +
-         " hit=" + std::to_string(hit) + " torn=" + (torn ? "1" : "0") + "]";
+         " hit=" + std::to_string(hit) + " " + restart + "]";
 }
 
-CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
-                                  const WorkloadRun& run,
-                                  const CrashCapture& cap, bool torn) {
-  CrashScenarioResult result;
-  result.triggered = true;
-  const std::string label = Label(o, cap.point, cap.hit, torn);
-
-  RecoveredDb b = MakeRestoredSystem(o, run.catalog, cap, torn);
-  b.stats = RecoverNow(b);
-  result.recovery = b.stats;
-  if (torn && b.torn_injected && b.stats.records_truncated < 1) {
-    result.failures.push_back(label + " torn tail record was not truncated");
-  }
-
-  // 1. Oracle exactness: every cell equals its last durable update. The
-  // torn block is non-durable — a correct recovery truncates it, so the
-  // horizon is the pre-torn durable LSN in both modes. Reads go through the
-  // buffer pool, the path clients observe: under the persistent cache a
-  // re-attached dirty LC frame legitimately shadows its stale disk copy.
-  const Lsn horizon = cap.log.durable_lsn;
+// Oracle exactness: every cell equals its last update at or below
+// `horizon`. Reads go through the buffer pool, the path clients observe:
+// under the persistent cache a re-attached dirty LC frame legitimately
+// shadows its stale disk copy. A failed fetch is a labelled failure, not a
+// crash of the harness.
+void CheckOracle(DbSystem& system, const WorkloadRun& run, Lsn horizon,
+                 const std::string& label, CrashScenarioResult& result) {
   for (const auto& [cell, writes] : run.oracle) {
     uint32_t expected = 0;
     for (const OracleWrite& w : writes) {
       if (w.lsn <= horizon) expected = w.value;
     }
-    IoContext rctx = b.system->MakeContext();
+    IoContext rctx = system.MakeContext();
     Status s;
     uint32_t got = 0;
     {
-      PageGuard g = b.system->buffer_pool().FetchPage(
+      PageGuard g = system.buffer_pool().FetchPage(
           cell.first, AccessKind::kRandom, rctx, &s);
       if (!g.valid()) {
         result.failures.push_back(label + " oracle read of page " +
                                   std::to_string(cell.first) +
                                   " failed: " + s.ToString());
+        if (result.failures.size() >= 8) break;  // one scenario, bounded noise
         continue;
       }
       std::memcpy(&got, g.view().payload() + 4 * cell.second, 4);
@@ -540,6 +530,27 @@ CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
       if (result.failures.size() >= 8) break;  // one scenario, bounded noise
     }
   }
+}
+
+CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
+                                  const WorkloadRun& run,
+                                  const CrashCapture& cap, bool torn) {
+  CrashScenarioResult result;
+  result.triggered = true;
+  const std::string label =
+      Label(o, cap.point, cap.hit, torn ? "torn=1" : "torn=0");
+
+  RecoveredDb b = MakeRestoredSystem(o, run.catalog, cap, torn);
+  b.stats = RecoverNow(b);
+  result.recovery = b.stats;
+  if (torn && b.torn_injected && b.stats.records_truncated < 1) {
+    result.failures.push_back(label + " torn tail record was not truncated");
+  }
+
+  // 1. Oracle exactness against the last durable update. The torn block is
+  // non-durable — a correct recovery truncates it, so the horizon is the
+  // pre-torn durable LSN in both modes.
+  CheckOracle(*b.system, run, cap.log.durable_lsn, label, result);
 
   // 2. The recovered system's structures are internally consistent.
   const AuditReport report = InvariantAuditor::AuditSystem(
@@ -589,26 +600,17 @@ CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
   return result;
 }
 
-std::string WarmLabel(const CrashHarnessOptions& o, const std::string& point,
-                      int hit, SsdRestartFault fault) {
-  return std::string("[design=") + ToString(o.design) +
-         " seed=" + std::to_string(o.seed) + " point=" + point +
-         " hit=" + std::to_string(hit) + " warm ssd_fault=" +
-         ToString(fault) + "]";
-}
-
 // Warm-restart verification: recover with the surviving (possibly damaged)
 // SSD image and check the persistent-cache contract.
-// Oracle reads go through the buffer pool, not the raw disk: a restored
-// dirty LC frame legitimately shadows its stale disk copy, and the buffer
-// pool is the path by which clients observe the database.
 CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
                                       const WorkloadRun& run,
                                       const CrashCapture& cap,
                                       SsdRestartFault fault) {
   CrashScenarioResult result;
   result.triggered = true;
-  const std::string label = WarmLabel(o, cap.point, cap.hit, fault);
+  const std::string label = Label(o, cap.point, cap.hit,
+                                  std::string("warm ssd_fault=") +
+                                      ToString(fault));
 
   RecoveredDb b =
       MakeRestoredSystem(o, run.catalog, cap, /*torn=*/false, fault);
@@ -664,27 +666,7 @@ CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
   }
 
   // 4. Oracle exactness through the buffer pool.
-  for (const auto& [cell, writes] : run.oracle) {
-    uint32_t expected = 0;
-    for (const OracleWrite& w : writes) {
-      if (w.lsn <= horizon) expected = w.value;
-    }
-    IoContext rctx = b.system->MakeContext();
-    uint32_t got = 0;
-    {
-      PageGuard g = b.system->buffer_pool().FetchPage(
-          cell.first, AccessKind::kRandom, rctx);
-      std::memcpy(&got, g.view().payload() + 4 * cell.second, 4);
-    }
-    ++result.oracle_cells;
-    if (got != expected) {
-      result.failures.push_back(
-          label + " oracle: page " + std::to_string(cell.first) + " slot " +
-          std::to_string(cell.second) + " expected " +
-          std::to_string(expected) + " got " + std::to_string(got));
-      if (result.failures.size() >= 8) break;
-    }
-  }
+  CheckOracle(*b.system, run, horizon, label, result);
 
   // 5. Structures consistent, and every in-service frame's on-device header
   // matches the recovered table (the re-attachment proof).
@@ -873,7 +855,7 @@ std::vector<std::string> CrashHarness::RunRedoIdempotenceSweep(int max_steps) {
   ref.stats = RecoverNow(ref);
   const int64_t applied = ref.stats.records_applied;
   if (applied == 0) {
-    failures.push_back(Label(options_, kEndPoint, 1, false) +
+    failures.push_back(Label(options_, kEndPoint, 1, "torn=0") +
                        " workload produced no redo work — sweep is vacuous");
     return failures;
   }
@@ -889,7 +871,7 @@ std::vector<std::string> CrashHarness::RunRedoIdempotenceSweep(int max_steps) {
       c.stats = RecoverNow(c);
     }
     const std::string label =
-        Label(options_, kRedoPoint, static_cast<int>(k), false);
+        Label(options_, kRedoPoint, static_cast<int>(k), "torn=0");
     const CrashCapture* mid = cobs.Find(kRedoPoint, static_cast<int>(k));
     if (mid == nullptr) {
       failures.push_back(label + " redo crash point did not fire");

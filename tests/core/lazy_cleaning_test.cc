@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
+#include <vector>
 
+#include "debug/invariant_auditor.h"
 #include "sim/sim_executor.h"
 #include "storage/page.h"
 #include "storage/sim_device.h"
@@ -168,6 +171,62 @@ TEST_F(LazyCleaningTest, FlushAllDirtyDrainsEverything) {
   // All pages remain cached as clean copies.
   for (PageId p = 0; p < 7; ++p) {
     EXPECT_EQ(cache_->Probe(p), SsdProbe::kCleanCopy) << p;
+  }
+}
+
+TEST_F(LazyCleaningTest, FirstGroupStartsAtTheGloballyOldestDirtyFrame) {
+  // 64 frames in 4 partitions; lambda puts the high (and low) watermark at
+  // 8 dirty frames, so the ninth dirty page wakes the cleaner for exactly
+  // one group.
+  opts_.num_frames = 64;
+  opts_.num_partitions = 4;
+  opts_.lc_dirty_fraction = 0.125;
+  cache_ = std::make_unique<LazyCleaningCache>(ssd_dev_.get(), disk_.get(),
+                                               opts_, executor_.get());
+  ASSERT_EQ(cache_->HighWatermark(), 8);
+  ASSERT_EQ(cache_->LowWatermark(), 8);
+  // Nine pages far enough apart that every group holds one page. The seed
+  // is the one in the highest-numbered partition, so a cleaner that settled
+  // for the first partition's dirty root would pick another page.
+  std::vector<PageId> pids;
+  for (PageId p = 100; p < 190; p += 10) pids.push_back(p);
+  const auto part_of = [&](PageId pid) {
+    return AuditAccess::PartitionIndexOf(*cache_, pid);
+  };
+  const PageId seed = *std::max_element(
+      pids.begin(), pids.end(),
+      [&](PageId a, PageId b) { return part_of(a) < part_of(b); });
+  size_t lowest = part_of(seed);
+  for (PageId p : pids) lowest = std::min(lowest, part_of(p));
+  ASSERT_LT(lowest, part_of(seed)) << "pages must span several partitions";
+
+  // Every page is admitted clean first, then dirtied: its LRU-2 key is the
+  // clean admission time. The seed is admitted first and dirtied last, so
+  // it holds the smallest LRU-2 key but the newest last access.
+  const auto evict_clean = [&](PageId pid, Time now) {
+    IoContext ctx;
+    ctx.now = now;
+    ctx.executor = executor_.get();
+    auto page = MakePage(pid, static_cast<uint8_t>(pid));
+    cache_->OnEvictClean(pid, page, AccessKind::kRandom, ctx);
+  };
+  evict_clean(seed, Micros(10));
+  Time t = Micros(100);
+  for (PageId p : pids) {
+    if (p != seed) evict_clean(p, t += Micros(10));
+  }
+  for (PageId p : pids) {
+    if (p != seed) EvictDirty(p, t += Micros(10));
+  }
+  EXPECT_FALSE(cache_->cleaner_running());
+  EvictDirty(seed, t + Micros(10));
+  executor_->RunUntilIdle();
+
+  EXPECT_EQ(cache_->stats().cleaner_io_requests, 1);
+  EXPECT_EQ(cache_->Probe(seed), SsdProbe::kCleanCopy);
+  for (PageId p : pids) {
+    if (p == seed) continue;
+    EXPECT_EQ(cache_->Probe(p), SsdProbe::kNewerCopy) << "page " << p;
   }
 }
 

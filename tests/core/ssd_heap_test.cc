@@ -9,14 +9,11 @@
 namespace turbobp {
 namespace {
 
-// Fixture: a table whose records' LRU-2 keys drive the heap.
+// Fixture: the production heap over a table whose records' LRU-2 keys
+// drive it (the CW/DW/LC key).
 class SsdHeapTest : public ::testing::Test {
  protected:
-  SsdHeapTest()
-      : table_(32),
-        heap_(&table_, [this](int32_t rec) {
-          return static_cast<double>(table_.record(rec).Lru2Key());
-        }) {}
+  SsdHeapTest() : table_(32), heap_(&table_, SsdFrameKey{&table_, false}) {}
 
   int32_t MakeRecord(Time key) {
     const int32_t rec = table_.PopFree();
@@ -26,7 +23,7 @@ class SsdHeapTest : public ::testing::Test {
   }
 
   SsdBufferTable table_;
-  SsdSplitHeap heap_;
+  SsdSplitHeap<> heap_;
 };
 
 TEST_F(SsdHeapTest, CleanRootIsMinimum) {
@@ -114,6 +111,42 @@ TEST_F(SsdHeapTest, DirtyToCleanMovesAcrossHeaps) {
 TEST_F(SsdHeapTest, EmptyRootsAreMinusOne) {
   EXPECT_EQ(heap_.CleanRoot(), -1);
   EXPECT_EQ(heap_.DirtyRoot(), -1);
+}
+
+TEST_F(SsdHeapTest, KeyOfReadsThePenultimateAccess) {
+  const int32_t a = MakeRecord(42);
+  table_.record(a).temperature = 7.5;  // ignored by the LRU-2 key
+  EXPECT_EQ(heap_.KeyOf(a), 42.0);
+}
+
+// TAC's key: the temperature snapshot orders the heap, and the LRU-2 access
+// times are ignored.
+TEST(SsdHeapTemperatureTest, TemperatureKeyOrdersByTemperatureNotAccess) {
+  SsdBufferTable table(8);
+  SsdSplitHeap<> heap(&table, SsdFrameKey{&table, /*by_temperature=*/true});
+  const double temps[] = {3.0, 0.5, 9.0};
+  const Time accesses[] = {1, 900, 5};  // LRU-2 would pick the first
+  int32_t recs[3];
+  for (int i = 0; i < 3; ++i) {
+    recs[i] = table.PopFree();
+    table.record(recs[i]).access[1] = accesses[i];
+    table.record(recs[i]).temperature = temps[i];
+    heap.InsertClean(recs[i]);
+  }
+  EXPECT_EQ(heap.CleanRoot(), recs[1]);
+  EXPECT_EQ(heap.KeyOf(recs[1]), 0.5);
+
+  // The coldest frame's extent heats up past the others: the next-coldest
+  // becomes the victim once the key is refreshed.
+  table.record(recs[1]).temperature = 20.0;
+  heap.UpdateKey(recs[1]);
+  EXPECT_EQ(heap.CleanRoot(), recs[0]);
+  // A touch changes only the LRU-2 key, so the order stands.
+  table.record(recs[0]).Touch(10000);
+  table.record(recs[0]).Touch(10001);
+  heap.UpdateKey(recs[0]);
+  EXPECT_EQ(heap.CleanRoot(), recs[0]);
+  EXPECT_TRUE(heap.CheckInvariants());
 }
 
 // Property test: random interleavings of insert / remove / update /

@@ -187,6 +187,44 @@ TEST_F(TacTest, ColdExtentsLoseToHotOnesWhenFull) {
   EXPECT_EQ(cache_->Probe(cold), SsdProbe::kAbsent);
 }
 
+TEST_F(TacTest, SsdHitsDoNotSaveAColdExtentFromReplacement) {
+  // TAC's replacement key is the extent temperature alone: re-referencing a
+  // cold page from the SSD (which would protect it under LRU-2) must not
+  // keep a hotter extent out.
+  opts_.num_partitions = 1;
+  cache_ = std::make_unique<TacCache>(ssd_dev_.get(), disk_.get(), opts_,
+                                      executor_.get(), 4096, 32);
+  // Extent 0 is heated once, every other cached extent twice.
+  const PageId cold = 0;
+  MissAndRead(cold);
+  for (PageId p = 1; p < 16; ++p) {
+    IoContext ctx = Ctx();
+    cache_->OnBufferPoolMiss(p * 32, AccessKind::kRandom, ctx);
+    MissAndRead(p * 32);
+  }
+  executor_->RunUntilIdle();
+  ASSERT_EQ(cache_->stats().used_frames, 16);
+  std::vector<uint8_t> out(kPage);
+  for (int i = 1; i <= 3; ++i) {
+    IoContext ctx = Ctx();
+    ctx.now += Millis(10 * i);
+    ASSERT_TRUE(cache_->TryReadPage(cold, out, ctx));
+  }
+  // A hotter extent arrives and replaces the cold page, hits and all.
+  const PageId hot = 3000;
+  IoContext ctx = Ctx();
+  for (int i = 0; i < 5; ++i) {
+    cache_->OnBufferPoolMiss(hot, AccessKind::kRandom, ctx);
+  }
+  MissAndRead(hot);
+  executor_->RunUntilIdle();
+  EXPECT_EQ(cache_->Probe(hot), SsdProbe::kCleanCopy);
+  EXPECT_EQ(cache_->Probe(cold), SsdProbe::kAbsent);
+  for (PageId p = 1; p < 16; ++p) {
+    EXPECT_EQ(cache_->Probe(p * 32), SsdProbe::kCleanCopy) << "page " << p * 32;
+  }
+}
+
 TEST_F(TacTest, NeverHoldsDirtySsdPages) {
   MissAndRead(1);
   executor_->RunUntilIdle();

@@ -145,7 +145,7 @@ TEST_F(InvariantAuditorTest, DetectsStaleHashEntryAfterBotchedEviction) {
   // to the free list).
   const size_t part = AuditAccess::PartitionIndexOf(ssd, pid);
   SsdBufferTable& table = AuditAccess::Table(ssd, part);
-  SsdSplitHeap& heap = AuditAccess::Heap(ssd, part);
+  SsdSplitHeap<>& heap = AuditAccess::Heap(ssd, part);
   const int32_t rec = table.Lookup(pid);
   ASSERT_NE(rec, -1);
   heap.Remove(rec);

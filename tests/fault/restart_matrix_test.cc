@@ -239,6 +239,35 @@ TEST(RestartTortureMatrixTest, QueuedButUnsubmittedWriteIsNotDurable) {
   }
 }
 
+// The warm verifier must report a recovery bug, labelled with its restart
+// fault, rather than crash or flood: the broken LC checkpoint (no SSD-dirty
+// drain) with a wiped SSD leaves disk + WAL short of updates whose only copy
+// died with the device. Every failure carries the warm label, and the
+// oracle check stops after its bounded share.
+TEST(RestartTortureMatrixTest, WarmFailuresCarryTheRestartFaultLabel) {
+  if (!CrashPointsCompiledIn()) {
+    GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
+  }
+  bool caught = false;
+  for (uint64_t seed = 1; seed <= 3 && !caught; ++seed) {
+    CrashHarnessOptions opts =
+        PersistentOptions(SsdDesign::kLazyCleaning, seed);
+    opts.break_lc_checkpoint = true;
+    const CrashScenarioResult r = CrashHarness(opts).RunWarmRestartScenario(
+        "ckpt/end-durable", /*hit=*/1, SsdRestartFault::kWiped);
+    ASSERT_TRUE(r.triggered);
+    caught = !r.ok();
+    int oracle_failures = 0;
+    for (const std::string& f : r.failures) {
+      EXPECT_NE(f.find(" warm ssd_fault=wiped] "), std::string::npos) << f;
+      if (f.find("] oracle") != std::string::npos) ++oracle_failures;
+    }
+    EXPECT_LE(oracle_failures, 8);
+  }
+  EXPECT_TRUE(caught) << "broken LC checkpoint with a wiped SSD produced no "
+                         "warm oracle violation";
+}
+
 // Persistent mode must not regress the classic crash-matrix contract: the
 // full crash matrix (clean and torn log tails) stays exact with the journal
 // running underneath — its recovery is now warm, so the oracle reads through
