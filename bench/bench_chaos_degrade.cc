@@ -40,9 +40,7 @@ ChaosOutcome RunChaos(SsdDesign design, Time duration, Time storm_begin,
   // Self-healing policy: small enough windows that the one-minute storm
   // degrades partitions and the post-storm quiet heals them within a few
   // buckets.
-  config.ssd_options.degrade_error_limit = 8;
   config.ssd_options.error_window = Seconds(5);
-  config.ssd_options.recover_error_limit = 1;
   config.ssd_options.quiet_window = Seconds(2);
   // The deadline must clear the *congestion* envelope (checkpoint and
   // admission bursts queue the SSD for tens of ms — that is load, not

@@ -2,20 +2,25 @@
 # turbobp crash torture: the full deterministic crash matrix.
 #
 #   {noSSD, CW, DW, LC, TAC} x every TURBOBP_CRASH_POINT x every hit
-#   x {clean log tail, torn log tail} x N seeds,
+#   x restart x N seeds,
 #
-# each scenario recovered and held to the shadow oracle (exact durable
-# contents, clean InvariantAuditor, convergent + idempotent redo). The
-# default ctest suite runs the quick one-seed subset of the same matrix;
-# this script is the long-form CI job and the local repro tool.
+# where a restart is {intact, torn} log tail, and under the persistent SSD
+# cache also x {clean, torn-journal-tail, stale-journal,
+# corrupt-frame-header, wiped} SSD image. Each scenario is recovered and held
+# to the shadow oracle (exact durable contents, horizon rule, clean
+# InvariantAuditor, convergent, deterministic and idempotent redo). The
+# default ctest suite runs the quick subset of the same matrix; this script
+# is the long-form CI job (`crash-torture`) and the local repro tool.
 #
 # Usage: scripts/crash_torture.sh [build-dir] [seeds...]
 #   scripts/crash_torture.sh                 # build/ with seeds 1..5
 #   scripts/crash_torture.sh build 7 11 13   # existing build dir, 3 seeds
 #
 # On failure, every violated scenario prints as a single line of the form
-#   [design=LC seed=3 point=ckpt/after-ssd-flush hit=2 torn=1] <what broke>
-# which RunScenario() replays in isolation for debugging.
+#   [design=LC seed=3 point=ckpt/after-ssd-flush hit=2 torn=1]
+#   [design=LC seed=3 point=ckpt/after-ssd-flush hit=2 torn=0 warm ssd_fault=wiped]
+# followed by what broke; CrashHarness::RunScenario(point, hit, Restart)
+# replays it in isolation for debugging.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

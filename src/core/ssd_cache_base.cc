@@ -285,6 +285,8 @@ bool SsdCacheBase::AdmitPageImpl(PageId pid, std::span<const uint8_t> data,
           part.heap.Remove(rec);
           part.heap.InsertDirty(rec);
         }
+      } else {
+        part.heap.UpdateKey(rec);  // the Touch above moved its LRU-2 key
       }
       r.page_lsn = page_lsn;
       r.ready_at = w.time;
@@ -351,7 +353,7 @@ IoResult SsdCacheBase::WriteFrame(Partition& part, int32_t rec,
   IoResult res;
   Time at = ctx.now;
   for (int attempt = 0; attempt < options_.io_retry_limit; ++attempt) {
-    if (attempt > 0 && ctx.charge) at += options_.io_retry_backoff;
+    if (attempt > 0 && ctx.charge) at += SsdCacheOptions::kIoRetryBackoff;
     res = ssd_device_->Write(FrameOf(part, rec), 1, data, at, ctx.charge);
     // The frame content just landed on the SSD medium (the partition latch
     // is held; the observer must not re-enter the cache).
@@ -374,7 +376,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
   for (int attempt = 0; attempt < options_.io_retry_limit; ++attempt) {
     if (attempt > 0) {
       Counters::Bump(counters_.read_retries);
-      if (ctx.charge) ctx.now += options_.io_retry_backoff;
+      if (ctx.charge) ctx.now += SsdCacheOptions::kIoRetryBackoff;
     }
     const Time issued = ctx.now;
     const IoResult res =
@@ -608,7 +610,7 @@ void SsdCacheBase::TryHealPartition(Partition& part, IoContext& ctx) {
   }
   // Hysteresis gate 2: the decayed budget must sit at or below the recover
   // threshold (<< degrade threshold), so a marginal device cannot flap.
-  if (WindowErrors(part, ctx.now) > options_.recover_error_limit) return;
+  if (WindowErrors(part, ctx.now) > SsdCacheOptions::kRecoverErrorLimit) return;
   part.window_errors.store(0, std::memory_order_relaxed);
   part.window_start.store(ctx.now, std::memory_order_relaxed);
   part.degraded.store(false, std::memory_order_release);

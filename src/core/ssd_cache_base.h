@@ -31,20 +31,20 @@ struct SsdCacheOptions {
   int lc_group_pages = 32;           // alpha: max pages per cleaner write
   // Fault tolerance (src/fault): transient SSD errors and checksum
   // mismatches are retried up to io_retry_limit attempts with
-  // io_retry_backoff of virtual time between them. Device errors charge a
+  // kIoRetryBackoff of virtual time between them. Device errors charge a
   // time-decayed per-partition budget: once a partition accumulates
   // degrade_error_limit errors inside one error_window, that partition
   // (alone) flips to pass-through — the rest of the cache keeps serving.
   int io_retry_limit = 3;
-  Time io_retry_backoff = Micros(500);
+  static constexpr Time kIoRetryBackoff = Micros(500);
   int64_t degrade_error_limit = 8;
   Time error_window = Seconds(10);
   // Self-healing (scrub & re-admission). A degraded partition is probed
   // with canary writes once it has been error-free for quiet_window; it is
   // re-enabled only while its window budget is at or below
-  // recover_error_limit (hysteresis: recover threshold << degrade
+  // kRecoverErrorLimit (hysteresis: recover threshold << degrade
   // threshold).
-  int64_t recover_error_limit = 1;
+  static constexpr int64_t kRecoverErrorLimit = 1;
   Time quiet_window = Seconds(5);
   // Patrol scrubber: ScrubTick verifies up to scrub_frames_per_tick frames
   // per call. scrub_interval > 0 additionally self-schedules ticks on the

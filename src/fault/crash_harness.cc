@@ -1,6 +1,7 @@
 #include "fault/crash_harness.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -62,15 +63,29 @@ struct CrashCapture {
   std::unordered_map<uint64_t, std::vector<uint8_t>> ssd;
 };
 
+// Snapshots what a power cut at this instant would leave of `system`. Only
+// lock-free or device-class-latched reads (ordered after every engine
+// latch), so it is safe from inside a crash point.
+CrashCapture Capture(DbSystem& system, std::string point, int hit) {
+  CrashCapture cap;
+  cap.point = std::move(point);
+  cap.hit = hit;
+  cap.disk = system.disk_array().SnapshotContent();
+  cap.log = system.log().SnapshotForCrash();
+  if (system.config().persistent_ssd_cache &&
+      system.ssd_device() != nullptr) {
+    cap.has_ssd = true;
+    cap.ssd = system.ssd_device()->SnapshotContent();
+  }
+  return cap;
+}
+
 // Captures crash snapshots at requested (point, hit) pairs. OnCrashPoint
 // runs synchronously inside the engine, possibly with latches held: it only
-// touches the lock-free LogManager::SnapshotForCrash and the device-class
-// latches (ordered after every engine latch), and never re-enters the
-// engine.
+// captures, and never re-enters the engine.
 class SnapshotObserver : public CrashPointObserver {
  public:
-  explicit SnapshotObserver(DbSystem* system, bool snapshot_ssd = false)
-      : system_(system), snapshot_ssd_(snapshot_ssd) {}
+  explicit SnapshotObserver(DbSystem* system) : system_(system) {}
 
   void Request(const std::string& point, int hit) {
     requests_[point].insert(hit);
@@ -86,10 +101,6 @@ class SnapshotObserver : public CrashPointObserver {
     return it == captures_.end() ? nullptr : &it->second;
   }
 
-  // Quiescent capture (no crash point involved), used for the
-  // end-of-workload pseudo-point.
-  void CaptureNow(const char* name, int hit) { Store(name, hit); }
-
   void OnCrashPoint(const char* name) override {
     const int n = ++hits_[name];
     bool want = capture_first_hits_ && n == 1;
@@ -97,25 +108,11 @@ class SnapshotObserver : public CrashPointObserver {
       auto it = requests_.find(name);
       want = it != requests_.end() && it->second.contains(n);
     }
-    if (want) Store(name, n);
+    if (want) captures_[{name, n}] = Capture(*system_, name, n);
   }
 
  private:
-  void Store(const char* name, int n) {
-    CrashCapture cap;
-    cap.point = name;
-    cap.hit = n;
-    cap.disk = system_->disk_array().SnapshotContent();
-    cap.log = system_->log().SnapshotForCrash();
-    if (snapshot_ssd_ && system_->ssd_device() != nullptr) {
-      cap.has_ssd = true;
-      cap.ssd = system_->ssd_device()->SnapshotContent();
-    }
-    captures_[{cap.point, n}] = std::move(cap);
-  }
-
   DbSystem* system_;
-  bool snapshot_ssd_ = false;
   bool capture_first_hits_ = false;
   std::map<std::string, int> hits_;
   std::map<std::string, std::set<int>> requests_;
@@ -204,11 +201,11 @@ void WriteSlot(DbSystem& system, WorkloadRun& run, PageId pid, uint32_t slot,
 }
 
 // Runs the mixed workload once. `requests` / `capture_first_hits` drive the
-// observer; `capture_end` additionally snapshots the quiescent end state
-// (maximal redo tail, used by the idempotence sweep).
+// observer. The quiescent end state (maximal redo tail) is the
+// end-of-workload pseudo-point, which fires once after the last op.
 WorkloadRun RunWorkload(const CrashHarnessOptions& o,
                         const std::map<std::string, std::set<int>>& requests,
-                        bool capture_first_hits, bool capture_end) {
+                        bool capture_first_hits) {
   WorkloadRun run;
   DbSystem system(MakeConfig(o));
   Database db(&system);
@@ -238,7 +235,7 @@ WorkloadRun RunWorkload(const CrashHarnessOptions& o,
   TURBOBP_CHECK(run.catalog.next_free_page + 8 <= slot_first);
   const uint32_t slots_per_page = (o.page_bytes - kPageHeaderSize) / 4;
 
-  SnapshotObserver obs(&system, o.persistent_ssd);
+  SnapshotObserver obs(&system);
   for (const auto& [point, hit_set] : requests) {
     for (int hit : hit_set) obs.Request(point, hit);
   }
@@ -248,6 +245,15 @@ WorkloadRun RunWorkload(const CrashHarnessOptions& o,
   uint32_t counter = 0;
   uint64_t heap_rows = 0;
   uint64_t tree_values = 0;
+  // Heap and tree transactions commit with probability 1/2; the rest stay
+  // an unforced tail until a later force makes them durable.
+  const auto commit_half_the_time = [&] {
+    if (rng.Bernoulli(0.5)) {
+      system.log().AppendCommit(next_txn);
+      system.log().CommitForce(ctx);
+    }
+    ++next_txn;
+  };
   {
     ScopedCrashArm arm(&obs);
     for (int i = 0; i < o.num_ops; ++i) {
@@ -280,11 +286,7 @@ WorkloadRun RunWorkload(const CrashHarnessOptions& o,
         }
         heap.Append(row, next_txn, ctx);
         ++heap_rows;
-        if (rng.Bernoulli(0.5)) {
-          system.log().AppendCommit(next_txn);
-          system.log().CommitForce(ctx);
-        }
-        ++next_txn;
+        commit_half_the_time();
       } else if (r < 78) {
         std::vector<uint8_t> row(kHeapRowBytes);
         for (size_t j = 0; j < row.size(); ++j) {
@@ -292,21 +294,13 @@ WorkloadRun RunWorkload(const CrashHarnessOptions& o,
         }
         heap.Update(heap.RidOfRow(rng.Uniform(heap_rows)), row, next_txn,
                     ctx);
-        if (rng.Bernoulli(0.5)) {
-          system.log().AppendCommit(next_txn);
-          system.log().CommitForce(ctx);
-        }
-        ++next_txn;
+        commit_half_the_time();
       } else if (r < 86) {
         // Lands between the pre-loaded keys, so near-full leaves split.
         tree.Insert(1 + rng.Uniform(kBtreePreloadKeys * 1000), ++tree_values,
                     next_txn, ctx);
         TURBOBP_CHECK(db.catalog().next_free_page <= slot_first);
-        if (rng.Bernoulli(0.5)) {
-          system.log().AppendCommit(next_txn);
-          system.log().CommitForce(ctx);
-        }
-        ++next_txn;
+        commit_half_the_time();
       } else {
         // Read-only fetch: drives SSD admissions and hits.
         PageGuard g = system.buffer_pool().FetchPage(
@@ -316,7 +310,7 @@ WorkloadRun RunWorkload(const CrashHarnessOptions& o,
       if (i % 4 == 3) Sync(system, ctx);
     }
     Sync(system, ctx);
-    if (capture_end) obs.CaptureNow(kEndPoint, 1);
+    obs.OnCrashPoint(kEndPoint);
   }
   run.hits = obs.hits();
   run.captures = std::move(obs.captures());
@@ -409,17 +403,14 @@ bool ApplyRestartFault(DbSystem* sys, const CrashHarnessOptions& o,
   return false;
 }
 
-// Builds a fresh system over the capture's surviving bytes, as a restart
-// after the crash would find them. In torn mode the first *non-durable*
-// record is materialized with a corrupted body and its stale checksum —
-// the partially-written block an interrupted log flush leaves behind — and
-// the durable horizon is extended over it, as a naive header scan of the
-// log device would conclude. Recovery must then truncate it instead of
-// replaying garbage.
+// Builds a fresh system over the capture's surviving bytes, as `restart`
+// finds them. A torn log tail extends the durable horizon over the torn
+// record, as a naive header scan of the log device would conclude; recovery
+// must then truncate it instead of replaying garbage.
 RecoveredDb MakeRestoredSystem(const CrashHarnessOptions& o,
                                const Catalog& catalog,
-                               const CrashCapture& cap, bool torn,
-                               SsdRestartFault fault = SsdRestartFault::kClean) {
+                               const CrashCapture& cap,
+                               const Restart& restart) {
   RecoveredDb out;
   out.system = std::make_unique<DbSystem>(MakeConfig(o));
   out.db = std::make_unique<Database>(out.system.get());
@@ -432,11 +423,9 @@ RecoveredDb MakeRestoredSystem(const CrashHarnessOptions& o,
   std::vector<LogRecord> records;
   Lsn durable = cap.log.durable_lsn;
   for (const LogRecord& rec : cap.log.records) {
-    if (rec.lsn <= cap.log.durable_lsn) records.push_back(rec);
-  }
-  if (torn) {
-    for (const LogRecord& rec : cap.log.records) {
-      if (rec.lsn <= cap.log.durable_lsn) continue;
+    if (rec.lsn <= cap.log.durable_lsn) {
+      records.push_back(rec);
+    } else if (restart.torn_log_tail && !out.torn_injected) {
       LogRecord bad = rec;  // keeps the now-stale checksum
       if (!bad.bytes.empty()) {
         bad.bytes[0] = static_cast<uint8_t>(bad.bytes[0] ^ 0xFF);
@@ -446,21 +435,20 @@ RecoveredDb MakeRestoredSystem(const CrashHarnessOptions& o,
       durable = bad.lsn;
       records.push_back(std::move(bad));
       out.torn_injected = true;
-      break;
     }
   }
   out.system->log().RestoreDurableState(std::move(records), durable);
   if (cap.has_ssd && out.system->ssd_device() != nullptr) {
-    out.ssd_fault_armed = ApplyRestartFault(out.system.get(), o, fault);
+    out.ssd_fault_armed = ApplyRestartFault(out.system.get(), o, restart.ssd);
   }
   return out;
 }
 
 // Restart recovery; warm (journal restore first) exactly when the options
-// enable the persistent cache. Fills b.pstats.
-RecoveryStats RecoverNow(RecoveredDb& b) {
+// enable the persistent cache. Fills b.stats and b.pstats.
+void RecoverNow(RecoveredDb& b) {
   IoContext rctx = b.system->MakeContext();
-  return b.system->Recover(rctx, &b.pstats);
+  b.stats = b.system->Recover(rctx, &b.pstats);
 }
 
 // Byte-compares the full data volume of two recovered systems (synthesized
@@ -485,13 +473,68 @@ std::string ComparePages(DbSystem& a, DbSystem& b,
   return "";
 }
 
-// "[design=.. seed=.. point=.. hit=.. <restart>]"; `restart` names the
-// recovery mode ("torn=0", "torn=1" or "warm ssd_fault=..").
+// "[design=.. seed=.. point=.. hit=.. torn=0|1]"; under the persistent
+// cache the SSD restart fault follows: "[... torn=0 warm ssd_fault=..]".
 std::string Label(const CrashHarnessOptions& o, const std::string& point,
-                  int hit, const std::string& restart) {
-  return std::string("[design=") + ToString(o.design) +
-         " seed=" + std::to_string(o.seed) + " point=" + point +
-         " hit=" + std::to_string(hit) + " " + restart + "]";
+                  int hit, const Restart& restart) {
+  std::string label = std::string("[design=") + ToString(o.design) +
+                      " seed=" + std::to_string(o.seed) + " point=" + point +
+                      " hit=" + std::to_string(hit) +
+                      (restart.torn_log_tail ? " torn=1" : " torn=0");
+  if (o.persistent_ssd) {
+    label += std::string(" warm ssd_fault=") + ToString(restart.ssd);
+  }
+  return label + "]";
+}
+
+// Convergence: a power cut right after `system` recovered leaves a state
+// whose own recovery applies nothing.
+void CheckConverged(const CrashHarnessOptions& o, const Catalog& catalog,
+                    DbSystem& system, const std::string& label,
+                    std::vector<std::string>& failures) {
+  RecoveredDb again =
+      MakeRestoredSystem(o, catalog, Capture(system, "recovered", 1), {});
+  RecoverNow(again);
+  if (again.stats.records_applied != 0) {
+    failures.push_back(label + " re-crash after recovery redid " +
+                       std::to_string(again.stats.records_applied) +
+                       " records");
+  }
+}
+
+// Recovers `cap` a second time with a power cut armed at its k-th applied
+// redo record (k == 0: none), then recovers the state that cut left behind
+// (the restart damage is already on it; a persistent SSD survives the cut
+// like any other). Both volumes must equal `reference`, a single
+// uninterrupted recovery of `cap`: the second recovery proves determinism,
+// the third idempotence. Returns the third system, or an empty one when
+// nothing was cut.
+RecoveredDb CheckReRecovery(const CrashHarnessOptions& o,
+                            const Catalog& catalog, const CrashCapture& cap,
+                            const Restart& restart, int k, DbSystem& reference,
+                            const std::string& label,
+                            std::vector<std::string>& failures) {
+  RecoveredDb c = MakeRestoredSystem(o, catalog, cap, restart);
+  SnapshotObserver obs(c.system.get());
+  if (k > 0) obs.Request(kRedoPoint, k);
+  {
+    ScopedCrashArm arm(&obs);
+    RecoverNow(c);
+  }
+  std::string diff = ComparePages(reference, *c.system, o);
+  if (!diff.empty()) failures.push_back(label + " determinism: " + diff);
+  if (k == 0) return {};
+  const CrashCapture* mid = obs.Find(kRedoPoint, k);
+  if (mid == nullptr) {
+    failures.push_back(label + " mid-redo crash point never hit " +
+                       std::to_string(k) + " times");
+    return {};
+  }
+  RecoveredDb d = MakeRestoredSystem(o, catalog, *mid, {});
+  RecoverNow(d);
+  diff = ComparePages(reference, *d.system, o);
+  if (!diff.empty()) failures.push_back(label + " idempotence: " + diff);
+  return d;
 }
 
 // Oracle exactness: every cell equals its last update at or below
@@ -532,184 +575,54 @@ void CheckOracle(DbSystem& system, const WorkloadRun& run, Lsn horizon,
   }
 }
 
-CrashScenarioResult VerifyCapture(const CrashHarnessOptions& o,
-                                  const WorkloadRun& run,
-                                  const CrashCapture& cap, bool torn) {
+// One scenario's check list (see crash_harness.h), the same for every
+// restart. The volume comparisons run before the oracle reads touch the
+// recovered system.
+CrashScenarioResult Verify(const CrashHarnessOptions& o,
+                           const WorkloadRun& run, const CrashCapture& cap,
+                           const Restart& restart) {
   CrashScenarioResult result;
   result.triggered = true;
-  const std::string label =
-      Label(o, cap.point, cap.hit, torn ? "torn=1" : "torn=0");
+  std::vector<std::string>& failures = result.failures;
+  const std::string label = Label(o, cap.point, cap.hit, restart);
 
-  RecoveredDb b = MakeRestoredSystem(o, run.catalog, cap, torn);
-  b.stats = RecoverNow(b);
-  result.recovery = b.stats;
-  if (torn && b.torn_injected && b.stats.records_truncated < 1) {
-    result.failures.push_back(label + " torn tail record was not truncated");
-  }
-
-  // 1. Oracle exactness against the last durable update. The torn block is
-  // non-durable — a correct recovery truncates it, so the horizon is the
-  // pre-torn durable LSN in both modes.
-  CheckOracle(*b.system, run, cap.log.durable_lsn, label, result);
-
-  // 2. The recovered system's structures are internally consistent.
-  const AuditReport report = InvariantAuditor::AuditSystem(
-      b.system->buffer_pool(), &b.system->ssd_manager());
-  if (!report.ok()) {
-    result.failures.push_back(label + " audit: " + report.ToString());
-  }
-
-  // 3. Recovery converged: a power cut right after it leaves a state whose
-  // own recovery applies nothing.
-  b.system->Crash();
-  const RecoveryStats second = RecoverNow(b);
-  if (second.records_applied != 0) {
-    result.failures.push_back(label + " second recovery applied " +
-                              std::to_string(second.records_applied) +
-                              " records");
-  }
-
-  // 4. Idempotence: crash *recovery itself* halfway through its redo pass,
-  // recover once more, and require the final image to be byte-identical to
-  // the single-pass reference. A persistent SSD survives that power cut
-  // like any other.
-  if (b.stats.records_applied >= 2) {
-    const int k = 1 + static_cast<int>(b.stats.records_applied / 2);
-    RecoveredDb c = MakeRestoredSystem(o, run.catalog, cap, torn);
-    SnapshotObserver cobs(c.system.get(), o.persistent_ssd);
-    cobs.Request(kRedoPoint, k);
-    {
-      ScopedCrashArm arm(&cobs);
-      c.stats = RecoverNow(c);
-    }
-    const CrashCapture* mid = cobs.Find(kRedoPoint, k);
-    if (mid == nullptr) {
-      result.failures.push_back(label + " mid-redo crash point never hit " +
-                                std::to_string(k) + " times");
-    } else {
-      RecoveredDb d = MakeRestoredSystem(o, run.catalog, *mid,
-                                         /*torn=*/false);
-      d.stats = RecoverNow(d);
-      const std::string diff = ComparePages(*b.system, *d.system, o);
-      if (!diff.empty()) {
-        result.failures.push_back(label + " idempotence: " + diff);
-      }
-      result.idempotence_checked = true;
-    }
-  }
-  return result;
-}
-
-// Warm-restart verification: recover with the surviving (possibly damaged)
-// SSD image and check the persistent-cache contract.
-CrashScenarioResult VerifyWarmCapture(const CrashHarnessOptions& o,
-                                      const WorkloadRun& run,
-                                      const CrashCapture& cap,
-                                      SsdRestartFault fault) {
-  CrashScenarioResult result;
-  result.triggered = true;
-  const std::string label = Label(o, cap.point, cap.hit,
-                                  std::string("warm ssd_fault=") +
-                                      ToString(fault));
-
-  RecoveredDb b =
-      MakeRestoredSystem(o, run.catalog, cap, /*torn=*/false, fault);
+  RecoveredDb b = MakeRestoredSystem(o, run.catalog, cap, restart);
   result.ssd_fault_armed = b.ssd_fault_armed;
-  b.stats = RecoverNow(b);
+  RecoverNow(b);
   result.recovery = b.stats;
   result.persistent = b.pstats;
+  // The torn block is non-durable, so the horizon is the pre-torn durable
+  // LSN with either log tail.
   const Lsn horizon = cap.log.durable_lsn;
 
-  // 1. Horizon rule: no re-attached frame may claim an LSN beyond the WAL
-  // durable horizon — serving one would expose unrecoverable state.
+  if (b.torn_injected && b.stats.records_truncated < 1) {
+    failures.push_back(label + " torn tail record was not truncated");
+  }
   for (const auto& e : b.system->ssd_manager().SnapshotForCheckpoint()) {
     if (e.page_lsn != kInvalidLsn && e.page_lsn > horizon) {
-      result.failures.push_back(
-          label + " horizon rule: frame " + std::to_string(e.frame) +
-          " re-attached page " + std::to_string(e.page_id) + " at LSN " +
-          std::to_string(e.page_lsn) + " > durable horizon " +
-          std::to_string(horizon));
+      failures.push_back(label + " horizon rule: frame " +
+                         std::to_string(e.frame) + " re-attached page " +
+                         std::to_string(e.page_id) + " at LSN " +
+                         std::to_string(e.page_lsn) + " > durable horizon " +
+                         std::to_string(horizon));
     }
   }
+  CheckConverged(o, run.catalog, *b.system, label, failures);
+  const int k = b.stats.records_applied >= 2
+                    ? 1 + static_cast<int>(b.stats.records_applied / 2)
+                    : 0;
+  CheckReRecovery(o, run.catalog, cap, restart, k, *b.system, label,
+                  failures);
 
-  // 2. Convergence: a power cut immediately after recovery must leave a
-  // state whose own warm recovery redoes nothing. Captured before anything
-  // else touches the recovered system.
-  {
-    CrashCapture after;
-    after.point = cap.point + "+recovered";
-    after.hit = cap.hit;
-    after.disk = b.system->disk_array().SnapshotContent();
-    after.log = b.system->log().SnapshotForCrash();
-    after.has_ssd = true;
-    after.ssd = b.system->ssd_device()->SnapshotContent();
-    RecoveredDb conv = MakeRestoredSystem(o, run.catalog, after,
-                                          /*torn=*/false);
-    conv.stats = RecoverNow(conv);
-    if (conv.stats.records_applied != 0) {
-      result.failures.push_back(
-          label + " re-crash after recovery redid " +
-          std::to_string(conv.stats.records_applied) + " records");
-    }
-  }
-
-  // 3. Determinism: a second recovery of the same damaged image must yield
-  // a byte-identical data volume.
-  {
-    RecoveredDb d =
-        MakeRestoredSystem(o, run.catalog, cap, /*torn=*/false, fault);
-    d.stats = RecoverNow(d);
-    const std::string diff = ComparePages(*b.system, *d.system, o);
-    if (!diff.empty()) {
-      result.failures.push_back(label + " determinism: " + diff);
-    }
-  }
-
-  // 4. Oracle exactness through the buffer pool.
   CheckOracle(*b.system, run, horizon, label, result);
-
-  // 5. Structures consistent, and every in-service frame's on-device header
-  // matches the recovered table (the re-attachment proof).
   const AuditReport report = InvariantAuditor::AuditSystem(
       b.system->buffer_pool(), &b.system->ssd_manager());
-  if (!report.ok()) {
-    result.failures.push_back(label + " audit: " + report.ToString());
-  }
+  if (!report.ok()) failures.push_back(label + " audit: " + report.ToString());
   if (const auto* cache =
           dynamic_cast<const SsdCacheBase*>(&b.system->ssd_manager())) {
     const AuditReport headers = InvariantAuditor::AuditSsdFrameHeaders(*cache);
     if (!headers.ok()) {
-      result.failures.push_back(label + " frame-header audit: " +
-                                headers.ToString());
-    }
-  }
-
-  // 6. Mid-redo idempotence: crash recovery itself halfway through redo,
-  // recover once more (the damage is already on the captured image), and
-  // require the final volume to match the single-pass reference.
-  if (b.stats.records_applied >= 2) {
-    const int k = 1 + static_cast<int>(b.stats.records_applied / 2);
-    RecoveredDb c =
-        MakeRestoredSystem(o, run.catalog, cap, /*torn=*/false, fault);
-    SnapshotObserver cobs(c.system.get(), /*snapshot_ssd=*/true);
-    cobs.Request(kRedoPoint, k);
-    {
-      ScopedCrashArm arm(&cobs);
-      c.stats = RecoverNow(c);
-    }
-    const CrashCapture* mid = cobs.Find(kRedoPoint, k);
-    if (mid == nullptr) {
-      result.failures.push_back(label + " mid-redo crash point never hit " +
-                                std::to_string(k) + " times");
-    } else {
-      RecoveredDb d2 = MakeRestoredSystem(o, run.catalog, *mid,
-                                          /*torn=*/false);
-      d2.stats = RecoverNow(d2);
-      const std::string diff = ComparePages(*b.system, *d2.system, o);
-      if (!diff.empty()) {
-        result.failures.push_back(label + " idempotence: " + diff);
-      }
-      result.idempotence_checked = true;
+      failures.push_back(label + " frame-header audit: " + headers.ToString());
     }
   }
   return result;
@@ -734,29 +647,31 @@ const char* ToString(SsdRestartFault fault) {
 }
 
 std::map<std::string, int> CrashHarness::ProbeCrashPoints() {
-  return RunWorkload(options_, {}, /*capture_first_hits=*/false,
-                     /*capture_end=*/false)
-      .hits;
+  std::map<std::string, int> hits =
+      RunWorkload(options_, {}, /*capture_first_hits=*/false).hits;
+  hits.erase(kEndPoint);
+  return hits;
 }
 
 CrashScenarioResult CrashHarness::RunScenario(const std::string& point,
-                                              int hit, bool torn_tail) {
+                                              int hit,
+                                              const Restart& restart) {
+  TURBOBP_CHECK(restart.ssd == SsdRestartFault::kClean ||
+                options_.persistent_ssd);
   std::map<std::string, std::set<int>> requests;
   requests[point].insert(hit);
-  WorkloadRun run = RunWorkload(options_, requests,
-                                /*capture_first_hits=*/false,
-                                /*capture_end=*/point == kEndPoint);
+  WorkloadRun run =
+      RunWorkload(options_, requests, /*capture_first_hits=*/false);
   const auto it = run.captures.find({point, hit});
   if (it == run.captures.end()) return CrashScenarioResult{};
-  return VerifyCapture(options_, run, it->second, torn_tail);
+  return Verify(options_, run, it->second, restart);
 }
 
 CrashMatrixResult CrashHarness::RunMatrix(bool quick) {
   CrashMatrixResult m;
   // Pass 1: one workload run captures the first hit of every point that
   // fires, plus the quiescent end state.
-  WorkloadRun first = RunWorkload(options_, {}, /*capture_first_hits=*/true,
-                                  /*capture_end=*/true);
+  WorkloadRun first = RunWorkload(options_, {}, /*capture_first_hits=*/true);
   // Pass 2: middle (and, in full mode, last) hits, from observed counts.
   std::map<std::string, std::set<int>> requests;
   for (const auto& [point, count] : first.hits) {
@@ -765,131 +680,76 @@ CrashMatrixResult CrashHarness::RunMatrix(bool quick) {
   }
   WorkloadRun second;
   if (!requests.empty()) {
-    second = RunWorkload(options_, requests, /*capture_first_hits=*/false,
-                         /*capture_end=*/false);
+    second = RunWorkload(options_, requests, /*capture_first_hits=*/false);
   }
 
+  // A reformatted SSD has no image to damage.
+  std::vector<Restart> restarts;
+  for (const bool torn : {false, true}) {
+    for (const SsdRestartFault ssd : kAllSsdRestartFaults) {
+      if (ssd == SsdRestartFault::kClean || options_.persistent_ssd) {
+        restarts.push_back({.torn_log_tail = torn, .ssd = ssd});
+      }
+    }
+  }
   std::set<std::string> points;
-  const auto sweep = [&](const WorkloadRun& run) {
-    for (const auto& [key, cap] : run.captures) {
+  for (const WorkloadRun* run : {&first, &second}) {
+    for (const auto& [key, cap] : run->captures) {
       if (cap.point != kEndPoint) points.insert(cap.point);
-      for (const bool torn : {false, true}) {
-        const CrashScenarioResult r = VerifyCapture(options_, run, cap, torn);
+      for (const Restart& restart : restarts) {
+        const CrashScenarioResult r = Verify(options_, *run, cap, restart);
         ++m.scenarios_run;
         m.failures.insert(m.failures.end(), r.failures.begin(),
                           r.failures.end());
       }
     }
-  };
-  sweep(first);
-  sweep(second);
-  m.points_covered = static_cast<int>(points.size());
-  return m;
-}
-
-CrashScenarioResult CrashHarness::RunWarmRestartScenario(
-    const std::string& point, int hit, SsdRestartFault fault) {
-  TURBOBP_CHECK(options_.persistent_ssd);
-  std::map<std::string, std::set<int>> requests;
-  requests[point].insert(hit);
-  WorkloadRun run = RunWorkload(options_, requests,
-                                /*capture_first_hits=*/false,
-                                /*capture_end=*/point == kEndPoint);
-  const auto it = run.captures.find({point, hit});
-  if (it == run.captures.end()) return CrashScenarioResult{};
-  return VerifyWarmCapture(options_, run, it->second, fault);
-}
-
-CrashMatrixResult CrashHarness::RunWarmRestartMatrix(bool quick) {
-  TURBOBP_CHECK(options_.persistent_ssd);
-  CrashMatrixResult m;
-  // Pass 1: first hit of every point that fires, plus the quiescent end
-  // state. Full mode adds a second pass crashing at each point's middle hit.
-  WorkloadRun first = RunWorkload(options_, {}, /*capture_first_hits=*/true,
-                                  /*capture_end=*/true);
-  std::map<std::string, std::set<int>> requests;
-  if (!quick) {
-    for (const auto& [point, count] : first.hits) {
-      if (count >= 3) requests[point].insert(1 + count / 2);
-    }
   }
-  WorkloadRun second;
-  if (!requests.empty()) {
-    second = RunWorkload(options_, requests, /*capture_first_hits=*/false,
-                         /*capture_end=*/false);
-  }
-
-  constexpr SsdRestartFault kFaults[] = {
-      SsdRestartFault::kClean, SsdRestartFault::kTornJournalTail,
-      SsdRestartFault::kStaleJournal, SsdRestartFault::kCorruptFrameHeader,
-      SsdRestartFault::kWiped};
-  std::set<std::string> points;
-  const auto sweep = [&](const WorkloadRun& run) {
-    for (const auto& [key, cap] : run.captures) {
-      if (cap.point != kEndPoint) points.insert(cap.point);
-      for (const SsdRestartFault fault : kFaults) {
-        const CrashScenarioResult r =
-            VerifyWarmCapture(options_, run, cap, fault);
-        ++m.scenarios_run;
-        m.failures.insert(m.failures.end(), r.failures.begin(),
-                          r.failures.end());
-      }
-    }
-  };
-  sweep(first);
-  sweep(second);
   m.points_covered = static_cast<int>(points.size());
   return m;
 }
 
 std::vector<std::string> CrashHarness::RunRedoIdempotenceSweep(int max_steps) {
   std::vector<std::string> failures;
-  WorkloadRun run = RunWorkload(options_, {}, /*capture_first_hits=*/false,
-                                /*capture_end=*/true);
+  WorkloadRun run = RunWorkload(options_, {{kEndPoint, {1}}},
+                                /*capture_first_hits=*/false);
   const auto it = run.captures.find({std::string(kEndPoint), 1});
   TURBOBP_CHECK(it != run.captures.end());
   const CrashCapture& cap = it->second;
 
-  RecoveredDb ref = MakeRestoredSystem(options_, run.catalog, cap,
-                                       /*torn=*/false);
-  ref.stats = RecoverNow(ref);
+  RecoveredDb ref = MakeRestoredSystem(options_, run.catalog, cap, {});
+  RecoverNow(ref);
   const int64_t applied = ref.stats.records_applied;
   if (applied == 0) {
-    failures.push_back(Label(options_, kEndPoint, 1, "torn=0") +
+    failures.push_back(Label(options_, kEndPoint, 1, {}) +
                        " workload produced no redo work — sweep is vacuous");
     return failures;
   }
   const int64_t steps =
       max_steps > 0 ? std::min<int64_t>(applied, max_steps) : applied;
-  for (int64_t k = 1; k <= steps; ++k) {
-    RecoveredDb c = MakeRestoredSystem(options_, run.catalog, cap,
-                                       /*torn=*/false);
-    SnapshotObserver cobs(c.system.get(), options_.persistent_ssd);
-    cobs.Request(kRedoPoint, static_cast<int>(k));
-    {
-      ScopedCrashArm arm(&cobs);
-      c.stats = RecoverNow(c);
-    }
-    const std::string label =
-        Label(options_, kRedoPoint, static_cast<int>(k), "torn=0");
-    const CrashCapture* mid = cobs.Find(kRedoPoint, static_cast<int>(k));
-    if (mid == nullptr) {
-      failures.push_back(label + " redo crash point did not fire");
-      continue;
-    }
-    RecoveredDb d = MakeRestoredSystem(options_, run.catalog, *mid,
-                                       /*torn=*/false);
-    d.stats = RecoverNow(d);
-    const std::string diff = ComparePages(*ref.system, *d.system, options_);
-    if (!diff.empty()) failures.push_back(label + " " + diff);
-    d.system->Crash();
-    const RecoveryStats again = RecoverNow(d);
-    if (again.records_applied != 0) {
-      failures.push_back(label + " re-recovery applied " +
-                         std::to_string(again.records_applied) + " records");
+  for (int k = 1; k <= steps; ++k) {
+    const std::string label = Label(options_, kRedoPoint, k, {});
+    RecoveredDb d = CheckReRecovery(options_, run.catalog, cap, {}, k,
+                                    *ref.system, label, failures);
+    if (d.system != nullptr) {
+      CheckConverged(options_, run.catalog, *d.system, label, failures);
     }
   }
   return failures;
+}
+
+TortureSweep TortureSweepFromEnv(std::vector<uint64_t> default_seeds) {
+  TortureSweep sweep;
+  const char* full = std::getenv("TURBOBP_TORTURE_FULL");
+  sweep.full = full != nullptr && *full != '\0' && *full != '0';
+  const char* env = std::getenv("TURBOBP_TORTURE_SEEDS");
+  for (const char* p = env; p != nullptr && *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') continue;
+    char* end = nullptr;
+    sweep.seeds.push_back(std::strtoull(p, &end, 10));
+    p = end - 1;  // the loop steps onto the separator
+  }
+  if (sweep.seeds.empty()) sweep.seeds = std::move(default_seeds);
+  return sweep;
 }
 
 }  // namespace turbobp

@@ -26,7 +26,23 @@ enum class SsdRestartFault {
                         //   alone must recover exactly
 };
 
+inline constexpr SsdRestartFault kAllSsdRestartFaults[] = {
+    SsdRestartFault::kClean, SsdRestartFault::kTornJournalTail,
+    SsdRestartFault::kStaleJournal, SsdRestartFault::kCorruptFrameHeader,
+    SsdRestartFault::kWiped};
+
 const char* ToString(SsdRestartFault fault);
+
+// What a restart finds after a power cut: the WAL's durable prefix, plus
+// (torn_log_tail) the first non-durable record materialized with a
+// corrupted body and a stale checksum — the partially-written block an
+// interrupted log flush leaves behind — and, under the persistent cache,
+// the SSD image damaged per `ssd`. Without the persistent cache the SSD is
+// reformatted at restart, so `ssd` must stay kClean.
+struct Restart {
+  bool torn_log_tail = false;
+  SsdRestartFault ssd = SsdRestartFault::kClean;
+};
 
 // Deterministic crash-point torture harness.
 //
@@ -35,26 +51,29 @@ const char* ToString(SsdRestartFault fault);
 // B+-tree inserts, sharp checkpoints) against a shadow oracle, simulates a
 // power cut at the k-th hit of a chosen crash point (see
 // fault/crash_point.h), reopens a fresh system over the surviving durable
-// state, runs redo recovery, and checks:
+// state as one Restart describes it, runs DbSystem::Recover, and checks:
 //
-//   1. oracle exactness — every oracle cell equals the value of its last
-//      update record at or below the crash-durable LSN. Redo-only / no-undo
-//      semantics make exact equality the full correctness statement: it
-//      subsumes both "all durable committed data present" and "nothing
-//      beyond the durable log visible";
-//   2. the InvariantAuditor reports the recovered system clean;
-//   3. a power cut right after recovery, recovered again, applies zero
-//      records;
-//   4. recovery idempotence — crash *again* mid-redo, recover once more,
-//      and the final on-disk image is byte-identical to the single-pass one.
+//   1. a torn log tail, when one was injected, is truncated;
+//   2. the horizon rule — no SSD frame claims an LSN beyond the WAL durable
+//      horizon (serving one would expose unrecoverable state);
+//   3. oracle exactness through the buffer pool — every oracle cell equals
+//      the value of its last update record at or below the crash-durable
+//      LSN. Redo-only / no-undo semantics make exact equality the full
+//      correctness statement: it subsumes both "all durable committed data
+//      present" and "nothing beyond the durable log visible";
+//   4. the InvariantAuditor reports the recovered system clean, and every
+//      in-service SSD frame's on-device header matches the table;
+//   5. convergence — a power cut right after recovery leaves a state whose
+//      own recovery applies zero records;
+//   6. determinism — a second recovery of the same image yields a
+//      byte-identical data volume;
+//   7. idempotence — crash recovery itself mid-redo, recover once more, and
+//      the final volume is byte-identical to the single-pass one.
 //
 // Crashes are simulated by snapshot, not by interrupting control flow: the
 // crash-point observer captures the durable state (per-spindle disk
-// contents + the log's durable prefix) at the crash instant while the
-// original run continues. Torn-tail mode additionally materializes the
-// first *non-durable* log record with a corrupted body and a stale
-// checksum — the partially-written block an interrupted log flush leaves
-// behind — which recovery must detect and truncate.
+// contents + the log's durable prefix, + the SSD device under the
+// persistent cache) at the crash instant while the original run continues.
 struct CrashHarnessOptions {
   SsdDesign design = SsdDesign::kNoSsd;
   uint64_t seed = 1;
@@ -91,12 +110,11 @@ struct CrashScenarioResult {
   // scenarios are vacuously ok (the matrix only sweeps points that fire).
   bool triggered = false;
   // Each failure string is self-describing and carries the full
-  // {design, crash_point, hit, seed, torn} tuple.
+  // {design, crash_point, hit, seed, restart} tuple.
   std::vector<std::string> failures;
   RecoveryStats recovery;       // stats of the post-crash recovery pass
   int64_t oracle_cells = 0;     // oracle cells compared
-  bool idempotence_checked = false;
-  // Warm scenarios only: the SSD reconciliation outcome, and whether the
+  // Persistent cache only: the SSD reconciliation outcome, and whether the
   // requested restart fault found something to damage (an empty journal
   // leaves kCorruptFrameHeader nothing to corrupt, for example).
   PersistentRestoreStats persistent;
@@ -123,45 +141,42 @@ class CrashHarness {
   // these points; a point absent here cannot fire under this design.
   std::map<std::string, int> ProbeCrashPoints();
 
-  // One full crash/recover/verify cycle: crash at the hit-th firing of
-  // `point`, optionally with a torn log tail.
+  // One full crash/restart/verify cycle: crash at the hit-th firing of
+  // `point` ("end-of-workload" crashes at the quiescent end state) and
+  // restart as `restart` says. A damaged SSD needs options.persistent_ssd.
   CrashScenarioResult RunScenario(const std::string& point, int hit,
-                                  bool torn_tail);
+                                  const Restart& restart);
 
-  // Sweeps every crash point that fires under this design × {clean, torn}.
-  // Quick mode crashes at the first and middle hit of each point; full mode
-  // adds the last hit. Both also run an end-of-workload crash (maximal redo
-  // tail). This is the {design, seed} slice of the ISSUE's matrix; tests and
+  // Sweeps every crash point that fires under this design, plus an
+  // end-of-workload crash (maximal redo tail). Quick mode crashes at the
+  // first and middle hit of each point; full mode adds the last hit. Each
+  // crash restarts with an intact and a torn log tail, and under the
+  // persistent cache with each of the five SSD restart faults. This is the
+  // {design, seed} slice of the torture matrix; tests and
   // scripts/crash_torture.sh iterate designs and seeds around it.
   CrashMatrixResult RunMatrix(bool quick = true);
 
-  // Warm-restart scenario (requires options.persistent_ssd): crash at the
-  // hit-th firing of `point`, restore the surviving SSD image, damage it per
-  // `fault`, recover and verify — oracle exactness
-  // through the buffer pool (restored dirty frames legitimately shadow the
-  // disk), the horizon rule (no re-attached frame's LSN exceeds the WAL
-  // durable horizon), auditor + frame-header audit clean, convergence (an
-  // immediate re-crash after recovery redoes nothing), determinism (a second
-  // recovery from the same image yields a byte-identical volume), and
-  // mid-redo idempotence.
-  CrashScenarioResult RunWarmRestartScenario(const std::string& point, int hit,
-                                             SsdRestartFault fault);
-
-  // Sweeps every crash point that fires under this design × every restart
-  // fault. Quick mode crashes at the first hit of each point; full mode adds
-  // the middle hit. Both include the end-of-workload crash.
-  CrashMatrixResult RunWarmRestartMatrix(bool quick = true);
-
-  // Satellite: crash recovery itself at *every* k-th applied redo record of
-  // an end-of-workload crash, recover again, and require the re-recovered
-  // image to be byte-identical to the single-pass reference. Returns
-  // accumulated failures (empty == pass). `max_steps` caps the sweep
-  // (0 = every step).
+  // Crashes recovery itself at *every* k-th applied redo record of an
+  // end-of-workload crash, recovers again, and requires the re-recovered
+  // image to be byte-identical to the single-pass reference and converged.
+  // Returns accumulated failures (empty == pass). `max_steps` caps the
+  // sweep (0 = every step).
   std::vector<std::string> RunRedoIdempotenceSweep(int max_steps = 0);
 
  private:
   CrashHarnessOptions options_;
 };
+
+// The torture sweep's scope, read from the environment that
+// scripts/crash_torture.sh sets: TURBOBP_TORTURE_SEEDS lists the seeds
+// (digit runs, e.g. "1 2 3"; `default_seeds` when it holds none) and
+// TURBOBP_TORTURE_FULL, set to a value not starting with '0', asks for the
+// full sweep instead of the quick subset.
+struct TortureSweep {
+  std::vector<uint64_t> seeds;
+  bool full = false;
+};
+TortureSweep TortureSweepFromEnv(std::vector<uint64_t> default_seeds);
 
 }  // namespace turbobp
 

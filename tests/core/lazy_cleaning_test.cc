@@ -230,6 +230,27 @@ TEST_F(LazyCleaningTest, FirstGroupStartsAtTheGloballyOldestDirtyFrame) {
   }
 }
 
+TEST_F(LazyCleaningTest, DirtyReadmissionOfADirtyFrameKeepsHeapOrder) {
+  // Single partition: all three frames share one dirty heap.
+  opts_.num_partitions = 1;
+  cache_ = std::make_unique<LazyCleaningCache>(ssd_dev_.get(), disk_.get(),
+                                               opts_, executor_.get());
+  for (PageId p = 1; p <= 3; ++p) EvictDirty(p, Micros(10) * p);
+  // Each re-admission of the already-dirty page 1 touches its frame, moving
+  // its LRU-2 key from 0 (one access) to 40 us: it is now the newest.
+  EvictDirty(1, Micros(40));
+  EvictDirty(1, Micros(50));
+
+  const AuditReport report = InvariantAuditor::AuditSsdCache(*cache_);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  SsdSplitHeap<>& heap = AuditAccess::Heap(*cache_, 0);
+  SsdBufferTable& table = AuditAccess::Table(*cache_, 0);
+  ASSERT_EQ(heap.dirty_size(), 3);
+  const int32_t root = heap.DirtyRoot();
+  EXPECT_NE(table.record(root).page_id, 1u);
+  EXPECT_EQ(heap.KeyOf(root), 0);
+}
+
 TEST_F(LazyCleaningTest, DirtyPagesPinnedAgainstReplacement) {
   // Single partition so "completely full of dirty pages" is deterministic.
   opts_.num_partitions = 1;

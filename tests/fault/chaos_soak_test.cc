@@ -99,10 +99,8 @@ class ChaosSoakTest : public ::testing::TestWithParam<SsdDesign> {
     opts_.lc_dirty_fraction = 0.5;
     opts_.lc_group_pages = 4;
     opts_.io_retry_limit = 2;
-    opts_.io_retry_backoff = Micros(200);
     opts_.degrade_error_limit = 4;
     opts_.error_window = Seconds(2);
-    opts_.recover_error_limit = 1;
     opts_.quiet_window = Millis(500);
     opts_.read_deadline = Millis(20);
     opts_.scrub_frames_per_tick = 8;

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,44 +18,19 @@
 namespace turbobp {
 namespace {
 
-std::vector<uint64_t> SeedsFromEnv() {
-  const char* env = std::getenv("TURBOBP_TORTURE_SEEDS");
-  if (env == nullptr || *env == '\0') return {1};
-  std::vector<uint64_t> seeds;
-  uint64_t current = 0;
-  bool in_number = false;
-  for (const char* p = env;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      current = current * 10 + static_cast<uint64_t>(*p - '0');
-      in_number = true;
-    } else {
-      if (in_number) seeds.push_back(current);
-      current = 0;
-      in_number = false;
-      if (*p == '\0') break;
-    }
-  }
-  return seeds.empty() ? std::vector<uint64_t>{1} : seeds;
-}
-
-bool FullSweep() {
-  const char* env = std::getenv("TURBOBP_TORTURE_FULL");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
-
 class CrashMatrixTest : public ::testing::TestWithParam<SsdDesign> {};
 
 TEST_P(CrashMatrixTest, RecoversAtEveryCrashPointCleanAndTorn) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
   }
-  const bool full = FullSweep();
-  for (const uint64_t seed : SeedsFromEnv()) {
+  const TortureSweep sweep = TortureSweepFromEnv({1});
+  for (const uint64_t seed : sweep.seeds) {
     CrashHarnessOptions opts;
     opts.design = GetParam();
     opts.seed = seed;
     CrashHarness harness(opts);
-    const CrashMatrixResult m = harness.RunMatrix(/*quick=*/!full);
+    const CrashMatrixResult m = harness.RunMatrix(/*quick=*/!sweep.full);
     // Each failure already carries its {design, crash_point, hit, seed,
     // torn} tuple — exactly what scripts/crash_torture.sh greps for.
     for (const std::string& f : m.failures) ADD_FAILURE() << f;
@@ -123,8 +97,7 @@ TEST(CrashMatrixNegativeTest, BrokenLcCheckpointIsCaught) {
     opts.break_lc_checkpoint = true;
     CrashHarness harness(opts);
     const CrashScenarioResult r =
-        harness.RunScenario("ckpt/end-durable", /*hit=*/1,
-                            /*torn_tail=*/false);
+        harness.RunScenario("ckpt/end-durable", /*hit=*/1, Restart{});
     ASSERT_TRUE(r.triggered);
     caught = !r.ok();
   }
@@ -143,9 +116,20 @@ TEST(CrashMatrixNegativeTest, SkippedDrainIsHarmlessWithoutDirtySsdPages) {
   opts.break_lc_checkpoint = true;
   CrashHarness harness(opts);
   const CrashScenarioResult r =
-      harness.RunScenario("ckpt/end-durable", /*hit=*/1, /*torn_tail=*/false);
+      harness.RunScenario("ckpt/end-durable", /*hit=*/1, Restart{});
   ASSERT_TRUE(r.triggered);
   for (const std::string& f : r.failures) ADD_FAILURE() << f;
+}
+
+// Without the persistent cache the SSD is reformatted at restart: there is
+// no surviving image to damage, so asking for a damaged one is a misuse.
+TEST(CrashHarnessDeathTest, DamagedSsdRestartNeedsThePersistentCache) {
+  CrashHarnessOptions opts;
+  opts.design = SsdDesign::kLazyCleaning;
+  CrashHarness harness(opts);
+  EXPECT_DEATH(harness.RunScenario("end-of-workload", /*hit=*/1,
+                                   {.ssd = SsdRestartFault::kWiped}),
+               "persistent_ssd");
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
 // The restart-torture matrix for the persistent SSD cache: run each design
-// with persistent_ssd_cache on, cut power, damage the surviving SSD image in
-// each of five ways ({clean, torn journal tail, stale journal + newer
-// frames, corrupted frame header, wiped device}), and hold warm recovery to
-// the oracle —
+// with persistent_ssd_cache on, cut power, restart over the surviving SSD
+// image as it is or damaged ({clean, torn journal tail, stale journal +
+// newer frames, corrupted frame header, wiped device}) with an intact or a
+// torn log tail, and hold warm recovery to the harness's one check list —
 // exact contents through the buffer pool, the horizon rule (no re-attached
 // frame beyond the WAL durable horizon), clean audits including per-frame
-// header verification, convergent and idempotent redo. Damage may cost
-// warmth (fewer frames re-attached), never correctness.
+// header verification, convergent, deterministic and idempotent redo.
+// Damage may cost warmth (fewer frames re-attached), never correctness.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,37 +22,10 @@ namespace {
 
 constexpr char kEndPoint[] = "end-of-workload";
 
-constexpr SsdRestartFault kAllFaults[] = {
-    SsdRestartFault::kClean, SsdRestartFault::kTornJournalTail,
-    SsdRestartFault::kStaleJournal, SsdRestartFault::kCorruptFrameHeader,
-    SsdRestartFault::kWiped};
-
-std::vector<uint64_t> SeedsFromEnv() {
-  const char* env = std::getenv("TURBOBP_TORTURE_SEEDS");
-  if (env == nullptr || *env == '\0') return {1, 2};
-  std::vector<uint64_t> seeds;
-  uint64_t current = 0;
-  bool in_number = false;
-  for (const char* p = env;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      current = current * 10 + static_cast<uint64_t>(*p - '0');
-      in_number = true;
-    } else {
-      if (in_number) seeds.push_back(current);
-      current = 0;
-      in_number = false;
-      if (*p == '\0') break;
-    }
-  }
-  return seeds.empty() ? std::vector<uint64_t>{1, 2} : seeds;
-}
-
-// The default run is the quick subset; CI's restart-torture job sets
-// TURBOBP_TORTURE_FULL / TURBOBP_TORTURE_SEEDS for the full sweep.
-bool FullSweep() {
-  const char* env = std::getenv("TURBOBP_TORTURE_FULL");
-  return env != nullptr && *env != '\0' && *env != '0';
-}
+// The default run is the quick subset with seeds 1 and 2;
+// scripts/crash_torture.sh sets TURBOBP_TORTURE_FULL / TURBOBP_TORTURE_SEEDS
+// for the full sweep.
+TortureSweep Sweep() { return TortureSweepFromEnv({1, 2}); }
 
 CrashHarnessOptions PersistentOptions(SsdDesign design, uint64_t seed) {
   CrashHarnessOptions opts;
@@ -71,11 +43,11 @@ TEST_P(RestartMatrixTest, WarmRestartSurvivesEveryRestartFault) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
   }
-  for (const uint64_t seed : SeedsFromEnv()) {
-    for (const SsdRestartFault fault : kAllFaults) {
+  for (const uint64_t seed : Sweep().seeds) {
+    for (const SsdRestartFault fault : kAllSsdRestartFaults) {
       CrashHarness harness(PersistentOptions(GetParam(), seed));
       const CrashScenarioResult r =
-          harness.RunWarmRestartScenario(kEndPoint, /*hit=*/1, fault);
+          harness.RunScenario(kEndPoint, /*hit=*/1, {.ssd = fault});
       ASSERT_TRUE(r.triggered);
       for (const std::string& f : r.failures) ADD_FAILURE() << f;
       EXPECT_GT(r.oracle_cells, 0);
@@ -125,7 +97,7 @@ TEST_P(RestartMatrixTest, CrashDuringHealRecoversExact) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
   }
-  for (const uint64_t seed : SeedsFromEnv()) {
+  for (const uint64_t seed : Sweep().seeds) {
     CrashHarnessOptions opts = PersistentOptions(GetParam(), seed);
     opts.exercise_healing = true;
     CrashHarness harness(opts);
@@ -141,9 +113,9 @@ TEST_P(RestartMatrixTest, CrashDuringHealRecoversExact) {
         << ": the degraded partition never re-enabled";
     for (const char* point :
          {"ssd/scrub-repair", "ssd/canary-write", "ssd/reenable"}) {
-      for (const SsdRestartFault fault : kAllFaults) {
+      for (const SsdRestartFault fault : kAllSsdRestartFaults) {
         const CrashScenarioResult r =
-            harness.RunWarmRestartScenario(point, /*hit=*/1, fault);
+            harness.RunScenario(point, /*hit=*/1, {.ssd = fault});
         ASSERT_TRUE(r.triggered) << point;
         for (const std::string& f : r.failures) ADD_FAILURE() << f;
         EXPECT_GT(r.oracle_cells, 0);
@@ -162,17 +134,24 @@ INSTANTIATE_TEST_SUITE_P(AllSsdDesigns, RestartMatrixTest,
                          });
 
 // The full warm matrix for the richest design: every crash point that fires
-// under persistent LC (including the journal's own durability edges) x every
-// restart fault.
+// under persistent LC (including the journal's own durability edges) x
+// {intact, torn} log tail x every restart fault. Persistent mode keeps the
+// classic crash-matrix contract: the intact-SSD restarts are the cold
+// matrix's scenarios with the journal running underneath.
 TEST(RestartTortureMatrixTest, LazyCleaningWarmMatrixAcrossCrashPoints) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
   }
   CrashHarness harness(PersistentOptions(SsdDesign::kLazyCleaning, 1));
-  const CrashMatrixResult m = harness.RunWarmRestartMatrix(!FullSweep());
+  const auto points = harness.ProbeCrashPoints();
+  EXPECT_TRUE(points.contains("ssd/journal-append"))
+      << "journal append edge never fired";
+  EXPECT_TRUE(points.contains("ssd/journal-seal"))
+      << "journal seal edge never fired";
+  const CrashMatrixResult m = harness.RunMatrix(!Sweep().full);
   for (const std::string& f : m.failures) ADD_FAILURE() << f;
   EXPECT_GE(m.points_covered, 10);
-  EXPECT_GT(m.scenarios_run, 4 * m.points_covered);
+  EXPECT_GT(m.scenarios_run, 10 * m.points_covered);
 }
 
 // Warm restart before ANY completed checkpoint: redo has no checkpoint to
@@ -186,7 +165,7 @@ TEST(RestartTortureMatrixTest, NoCheckpointWarmRestartCoversDroppedFrames) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
   }
-  for (const uint64_t seed : SeedsFromEnv()) {
+  for (const uint64_t seed : Sweep().seeds) {
     for (const SsdRestartFault fault :
          {SsdRestartFault::kClean, SsdRestartFault::kCorruptFrameHeader}) {
       CrashHarnessOptions opts =
@@ -194,7 +173,7 @@ TEST(RestartTortureMatrixTest, NoCheckpointWarmRestartCoversDroppedFrames) {
       opts.checkpoint_every = 0;  // crash before any checkpoint exists
       CrashHarness harness(opts);
       const CrashScenarioResult r =
-          harness.RunWarmRestartScenario(kEndPoint, /*hit=*/1, fault);
+          harness.RunScenario(kEndPoint, /*hit=*/1, {.ssd = fault});
       ASSERT_TRUE(r.triggered);
       for (const std::string& f : r.failures) ADD_FAILURE() << f;
       EXPECT_GT(r.oracle_cells, 0);
@@ -225,14 +204,13 @@ TEST(RestartTortureMatrixTest, QueuedButUnsubmittedWriteIsNotDurable) {
     cold.design = SsdDesign::kLazyCleaning;
     cold.seed = 1;
     CrashScenarioResult r =
-        CrashHarness(cold).RunScenario(point, /*hit=*/1, /*torn_tail=*/false);
+        CrashHarness(cold).RunScenario(point, /*hit=*/1, Restart{});
     ASSERT_TRUE(r.triggered) << point;
     for (const std::string& f : r.failures) ADD_FAILURE() << f;
     EXPECT_GT(r.oracle_cells, 0);
 
     // Warm: surviving SSD frames re-attach around the lost disk write.
-    r = harness.RunWarmRestartScenario(point, /*hit=*/1,
-                                       SsdRestartFault::kClean);
+    r = harness.RunScenario(point, /*hit=*/1, Restart{});
     ASSERT_TRUE(r.triggered) << point;
     for (const std::string& f : r.failures) ADD_FAILURE() << f;
     EXPECT_GT(r.oracle_cells, 0);
@@ -253,8 +231,8 @@ TEST(RestartTortureMatrixTest, WarmFailuresCarryTheRestartFaultLabel) {
     CrashHarnessOptions opts =
         PersistentOptions(SsdDesign::kLazyCleaning, seed);
     opts.break_lc_checkpoint = true;
-    const CrashScenarioResult r = CrashHarness(opts).RunWarmRestartScenario(
-        "ckpt/end-durable", /*hit=*/1, SsdRestartFault::kWiped);
+    const CrashScenarioResult r = CrashHarness(opts).RunScenario(
+        "ckpt/end-durable", /*hit=*/1, {.ssd = SsdRestartFault::kWiped});
     ASSERT_TRUE(r.triggered);
     caught = !r.ok();
     int oracle_failures = 0;
@@ -268,22 +246,32 @@ TEST(RestartTortureMatrixTest, WarmFailuresCarryTheRestartFaultLabel) {
                          "warm oracle violation";
 }
 
-// Persistent mode must not regress the classic crash-matrix contract: the
-// full crash matrix (clean and torn log tails) stays exact with the journal
-// running underneath — its recovery is now warm, so the oracle reads through
-// the buffer pool — and the journal's durability edges fire.
-TEST(RestartTortureMatrixTest, PersistentModeKeepsColdMatrixExact) {
+// Both halves of a restart damaged at once: a torn log tail and a damaged
+// SSD image. Recovery must truncate the tail, then reconcile the SSD against
+// the shortened durable horizon, and stay oracle-exact. At ckpt/end-durable
+// the end record's flush has made the whole log durable, so there is no
+// record to tear and only the SSD damage applies.
+TEST(RestartTortureMatrixTest, TornLogTailWithDamagedSsdRecoversExact) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";
   }
   CrashHarness harness(PersistentOptions(SsdDesign::kLazyCleaning, 1));
-  const auto points = harness.ProbeCrashPoints();
-  EXPECT_TRUE(points.contains("ssd/journal-append"))
-      << "journal append edge never fired";
-  EXPECT_TRUE(points.contains("ssd/journal-seal"))
-      << "journal seal edge never fired";
-  const CrashMatrixResult m = harness.RunMatrix(/*quick=*/true);
-  for (const std::string& f : m.failures) ADD_FAILURE() << f;
+  for (const char* point : {kEndPoint, "ckpt/end-durable"}) {
+    for (const SsdRestartFault fault : kAllSsdRestartFaults) {
+      if (fault == SsdRestartFault::kClean) continue;
+      const CrashScenarioResult r = harness.RunScenario(
+          point, /*hit=*/1, {.torn_log_tail = true, .ssd = fault});
+      ASSERT_TRUE(r.triggered) << point;
+      for (const std::string& f : r.failures) ADD_FAILURE() << f;
+      EXPECT_GT(r.oracle_cells, 0);
+      if (std::string(point) == kEndPoint) {
+        EXPECT_GE(r.recovery.records_truncated, 1)
+            << ToString(fault) << ": no torn tail to prune";
+      }
+      EXPECT_TRUE(r.ssd_fault_armed)
+          << point << " " << ToString(fault) << ": nothing to damage";
+    }
+  }
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ namespace {
 constexpr uint32_t kPage = 512;
 constexpr Time kSsdLat = Millis(1);    // scripted SSD service time
 constexpr Time kDiskLat = Millis(4);   // scripted disk service time
-constexpr Time kBackoff = Micros(500);
+constexpr Time kBackoff = SsdCacheOptions::kIoRetryBackoff;
 constexpr Time kDeadline = Millis(2);
 constexpr Time kStall = Seconds(3);
 
@@ -129,7 +129,6 @@ class RetryClockTest : public ::testing::Test {
     opts.num_frames = 16;
     opts.num_partitions = 1;
     opts.io_retry_limit = 3;
-    opts.io_retry_backoff = kBackoff;
     opts.read_deadline = read_deadline;
     opts.degrade_error_limit = 1000;  // degradation is not under test here
     cache_ = std::make_unique<ClockProbeCache>(ssd_.get(), disk_.get(), opts,

@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "engine/database.h"
@@ -29,9 +28,7 @@ TEST_P(RecoveryIdempotenceTest, ReCrashAtEveryRedoStepConverges) {
   // sweep covers redo steps over slot pages, heap pages and B+-tree nodes.
   opts.checkpoint_every = 0;
   CrashHarness harness(opts);
-  const char* full = std::getenv("TURBOBP_TORTURE_FULL");
-  const int max_steps =
-      (full != nullptr && *full != '\0' && *full != '0') ? 0 : 60;
+  const int max_steps = TortureSweepFromEnv({}).full ? 0 : 60;
   for (const std::string& f : harness.RunRedoIdempotenceSweep(max_steps)) {
     ADD_FAILURE() << f;
   }
