@@ -8,8 +8,9 @@
 # builds, side by side in scratch directories, and diffs their stdout. Their
 # numbers are virtual time and none of them prints host time, so a change
 # that only touches host-side code must leave every stdout byte-identical.
-# The set covers all four SSD designs (CW, DW, LC, TAC); perfbench runs only
-# LC and DW.
+# The set covers all four SSD designs (CW, DW, LC, TAC) and, through
+# bench_analysis_restart_time, the cold and persistent warm restarts;
+# perfbench runs only LC and DW and never restarts.
 #
 # These benches write no BENCH_*.json. If either side writes one, the check
 # fails: a bench that starts emitting JSON needs its host-time fields
@@ -28,7 +29,8 @@ change=$(cd "$2" 2>/dev/null && pwd) || { echo "no directory $2" >&2; exit 2; }
 
 benches=(bench_fig3_copy_states bench_fig5_tpcc_speedup
          bench_fig5_tpch_speedup bench_fig5_tpce_speedup
-         bench_fig7_lc_lambda bench_ablation_tac_waste)
+         bench_fig7_lc_lambda bench_ablation_tac_waste
+         bench_analysis_restart_time)
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/virtual_identity.XXXXXX")
 trap 'rm -rf "$work"' EXIT

@@ -113,13 +113,11 @@ void BufferPool::Touch(Frame& f, Time now) {
 
 void BufferPool::VerifyFrameChecksum(int32_t frame, PageId pid) const {
   const PageView v(FrameSpan(frame));
-  const PageHeader& h = v.header();
-  if (h.page_id != pid && h.page_id != kInvalidPageId) {
-    Panic(__FILE__, __LINE__, "device returned the wrong page");
-  }
-  if (h.page_id == pid && !v.VerifyChecksum()) {
-    Panic(__FILE__, __LINE__, "page checksum mismatch: stale or torn copy");
-  }
+  if (v.IsIntactCopyOf(pid)) return;
+  const PageId got = v.header().page_id;
+  if (got == kInvalidPageId) return;  // never-formatted page
+  if (got != pid) Panic(__FILE__, __LINE__, "device returned the wrong page");
+  Panic(__FILE__, __LINE__, "page checksum mismatch: stale or torn copy");
 }
 
 void BufferPool::BumpEpochAndNotify(int32_t frame) {
@@ -202,15 +200,16 @@ void BufferPool::ReleaseClaimedLocked(Shard& sh, int32_t frame) {
   NotifyAvail(sh);
 }
 
-PageGuard BufferPool::FinishRead(Shard& sh, int32_t frame, PageId pid,
-                                 AccessKind kind, IoContext& ctx) {
+PageGuard BufferPool::FinishRead(int32_t frame, uint32_t pins, AccessKind kind,
+                                 IoContext& ctx) {
+  Shard& sh = ShardOfFrame(frame);
   ShardLock lock = LockShard(sh);
   Frame& f = frames_[frame];
   TURBOBP_DCHECK(f.state.load(std::memory_order_relaxed) ==
                  FrameState::kReading);
-  TURBOBP_DCHECK(f.page_id == pid);
+  TURBOBP_DCHECK(pins <= 1);
   f.dirty = false;
-  f.pin_count = 1;
+  f.pin_count = pins;
   f.kind = kind;
   f.access_history[0] = f.access_history[1] = 0;
   Touch(f, ctx.now);
@@ -219,26 +218,7 @@ PageGuard BufferPool::FinishRead(Shard& sh, int32_t frame, PageId pid,
   --sh.transient;
   BumpEpochAndNotify(frame);
   NotifyAvail(sh);
-  return PageGuard(this, frame);
-}
-
-void BufferPool::FinishPrefetch(int32_t frame, PageId pid, IoContext& ctx) {
-  Shard& sh = ShardOfFrame(frame);
-  ShardLock lock = LockShard(sh);
-  Frame& f = frames_[frame];
-  TURBOBP_DCHECK(f.state.load(std::memory_order_relaxed) ==
-                 FrameState::kReading);
-  TURBOBP_DCHECK(f.page_id == pid);
-  f.dirty = false;
-  f.pin_count = 0;
-  f.kind = AccessKind::kSequential;
-  f.access_history[0] = f.access_history[1] = 0;
-  Touch(f, ctx.now);
-  f.ready_at = ctx.now;
-  f.state.store(FrameState::kResident, std::memory_order_relaxed);
-  --sh.transient;
-  BumpEpochAndNotify(frame);
-  NotifyAvail(sh);
+  return pins > 0 ? PageGuard(this, frame) : PageGuard();
 }
 
 void BufferPool::AbortRead(int32_t frame, PageId pid) {
@@ -306,7 +286,6 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
       f.kind = kind;
       ++f.pin_count;
       counters_.Classified(counters_.hits);
-      ++ctx.bp_hits;
       lock.unlock();
       // TAC pathology (Section 2.5): a pending SSD admission write holds the
       // page latch; only the client touching that page waits for it — with
@@ -339,7 +318,6 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
     // Commitment point: this call is a miss (counted exactly once even if
     // the claim retried above).
     counters_.Classified(counters_.misses);
-    ++ctx.bp_misses;
     break;
   }
 
@@ -348,10 +326,9 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
 
   Status ssd_error;
   if (ssd_->TryReadPage(pid, FrameSpan(frame), ctx, &ssd_error)) {
+    // TryReadPage verified the image where it left the device.
     StatCounters::Bump(counters_.ssd_hits);
-    ++ctx.ssd_hits;
-    VerifyFrameChecksum(frame, pid);
-    return FinishRead(sh, frame, pid, kind, ctx);
+    return FinishRead(frame, 1, kind, ctx);
   }
   if (!ssd_error.ok()) {
     // The only current copy of this page sat in a dirty SSD frame that
@@ -397,16 +374,13 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
         scratch.data() + static_cast<size_t>(pid - block_first) *
                              options_.page_bytes,
         options_.page_bytes);
-    VerifyFrameChecksum(frame, pid);
-    ssd_->OnDiskRead(pid, FrameSpan(frame), kind, ctx);
-    return FinishRead(sh, frame, pid, kind, ctx);
+  } else {
+    TURBOBP_CHECK_OK(disk_->ReadPage(pid, FrameSpan(frame), ctx));
+    StatCounters::Bump(counters_.disk_page_reads);
   }
-
-  TURBOBP_CHECK_OK(disk_->ReadPage(pid, FrameSpan(frame), ctx));
-  StatCounters::Bump(counters_.disk_page_reads);
   VerifyFrameChecksum(frame, pid);
   ssd_->OnDiskRead(pid, FrameSpan(frame), kind, ctx);
-  return FinishRead(sh, frame, pid, kind, ctx);
+  return FinishRead(frame, 1, kind, ctx);
 }
 
 PageGuard BufferPool::NewPage(PageId pid, PageType type, IoContext& ctx) {
@@ -499,9 +473,7 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
   auto read_via_ssd = [&](const Pending& ent) -> bool {
     if (!ssd_->TryReadPage(ent.pid, FrameSpan(ent.frame), ctx)) return false;
     StatCounters::Bump(counters_.ssd_hits);
-    ++ctx.ssd_hits;
-    VerifyFrameChecksum(ent.frame, ent.pid);
-    FinishPrefetch(ent.frame, ent.pid, ctx);
+    FinishRead(ent.frame, 0, AccessKind::kSequential, ctx);
     StatCounters::Bump(counters_.prefetch_pages);
     return true;
   };
@@ -550,7 +522,7 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
       VerifyFrameChecksum(ent.frame, ent.pid);
       ssd_->OnDiskRead(ent.pid, FrameSpan(ent.frame), AccessKind::kSequential,
                        ctx);
-      FinishPrefetch(ent.frame, ent.pid, ctx);
+      FinishRead(ent.frame, 0, AccessKind::kSequential, ctx);
       StatCounters::Bump(counters_.prefetch_pages);
     };
     engine.Submit(req, ctx);
@@ -558,7 +530,6 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
   }
   if (submitted > 0) {
     StatCounters::Bump(counters_.disk_page_reads, submitted);
-    ctx.disk_reads += submitted;
     ctx.Wait(engine.Drain(ctx));
   }
 }
@@ -669,14 +640,10 @@ void BufferPool::EvictFrameLocked(Shard& sh, ShardLock& lock, int32_t frame,
   // every measured run starts from a cold SSD buffer pool, as in the paper
   // (the DBMS is restarted between runs).
   if (!dirty) {
+    // A clean frame already carries a valid checksum: it was verified where
+    // it entered, or sealed by the flush that cleaned it.
     StatCounters::Bump(counters_.evictions_clean);
-    if (ctx.charge) {
-      // Re-seal before offering the bytes to the SSD: a frame cleaned by a
-      // snapshot-based flush still carries its pre-seal in-frame checksum.
-      PageView v(FrameSpan(frame));
-      v.SealChecksum();
-      ssd_->OnEvictClean(pid, FrameSpan(frame), kind, ctx);
-    }
+    if (ctx.charge) ssd_->OnEvictClean(pid, FrameSpan(frame), kind, ctx);
   } else {
     StatCounters::Bump(counters_.evictions_dirty);
     PageView v(FrameSpan(frame));
@@ -805,15 +772,14 @@ Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
         // (MarkDirty waits), and not double-flushable.
         f.state.store(FrameState::kWriting, std::memory_order_relaxed);
         ++sh.transient;
-        s.snapshot.resize(options_.page_bytes);
-        std::memcpy(s.snapshot.data(), FrameData(i), options_.page_bytes);
-        staged.push_back(std::move(s));
-      }
-      {
-        Staged& s = staged.back();
-        PageView v{std::span<uint8_t>(s.snapshot)};
+        // Seal the frame itself, not just the snapshot: the frame turns
+        // clean when the write lands, and a clean frame must carry a valid
+        // checksum (its eviction hands the bytes to the SSD unsealed).
+        PageView v(FrameSpan(i));
         v.SealChecksum();
         s.lsn = v.header().lsn;
+        s.snapshot.assign(FrameData(i), FrameData(i) + options_.page_bytes);
+        staged.push_back(std::move(s));
       }
       if (staged.size() >= window) flush_window();
     }

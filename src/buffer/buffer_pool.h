@@ -341,13 +341,12 @@ class BufferPool {
   // Resets a frame's metadata (keeps io_epoch; leaves state kFree).
   void ResetFrameLocked(Frame& f);
 
-  // Completion half of the read protocol: re-latches, flips the kReading
-  // placeholder to kResident (pinned for FetchPage, unpinned for prefetch),
-  // and wakes frame- and claim-waiters.
-  PageGuard FinishRead(Shard& sh, int32_t frame, PageId pid, AccessKind kind,
+  // Completion half of the read protocol, shared by FetchPage (one pin) and
+  // read-ahead (no pin): re-latches, flips the kReading placeholder to
+  // kResident with `pins` pins and access `kind`, and wakes frame- and
+  // claim-waiters. Returns the pin as a guard (invalid when `pins` is 0).
+  PageGuard FinishRead(int32_t frame, uint32_t pins, AccessKind kind,
                        IoContext& ctx) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
-  void FinishPrefetch(int32_t frame, PageId pid, IoContext& ctx)
-      TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   // Failure half: unmaps the placeholder and frees the frame.
   void AbortRead(int32_t frame, PageId pid) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -373,6 +372,9 @@ class BufferPool {
   // Wakes ClaimFrame waiters of `sh` (shard latch held).
   void NotifyAvail(Shard& sh) TURBOBP_REQUIRES(sh.mu);
 
+  // Panics unless the frame holds an intact copy of `pid` (a never-
+  // formatted page passes). Run once on every disk read; SSD hits arrive
+  // verified by TryReadPage.
   void VerifyFrameChecksum(int32_t frame, PageId pid) const;
 
   void Unpin(int32_t frame) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;

@@ -418,7 +418,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
         if (ds.ok()) {
           const PageView dv(hedge_buf.data(),
                             static_cast<uint32_t>(hedge_buf.size()));
-          if (dv.header().page_id == pid && dv.VerifyChecksum()) {
+          if (dv.IsIntactCopyOf(pid)) {
             std::memcpy(out.data(), hedge_buf.data(), out.size());
             Counters::Bump(counters_.hedged_reads);
             return Status::Ok();
@@ -430,7 +430,7 @@ Status SsdCacheBase::ReadFrameVerified(Partition& part, int32_t rec, PageId pid,
     }
     ctx.Wait(res.time);
     const PageView v(out.data(), static_cast<uint32_t>(out.size()));
-    if (v.header().page_id == pid && v.VerifyChecksum()) return Status::Ok();
+    if (v.IsIntactCopyOf(pid)) return Status::Ok();
     // A checksum mismatch may be a transient transfer flip (the medium is
     // fine) — a re-read decides. Persistent mismatch means the frame holds
     // damaged content.
@@ -718,7 +718,7 @@ void SsdCacheBase::RepairFrame(PageId pid, IoContext& ctx) {
   ctx.Wait(engine.Drain(ctx));
   if (!rs.ok()) return;  // disk unreadable: the quarantine already happened
   const PageView v(buf.data(), disk_->page_bytes());
-  if (v.header().page_id != pid || !v.VerifyChecksum()) return;
+  if (!v.IsIntactCopyOf(pid)) return;
   if (AdmitPage(pid, buf, AccessKind::kRandom, /*dirty=*/false, kInvalidLsn,
                 ctx)) {
     // The repaired copy sits on a healthy frame and its journal record is
@@ -802,6 +802,13 @@ void SsdCacheBase::RestoreEntries(
     PersistentRestoreStats& stats) {
   std::vector<uint8_t> buf(ssd_device_->page_bytes());
   std::vector<uint8_t> disk_buf(disk_->page_bytes());
+  // Whether the disk holds an intact image of the entry's page at least as
+  // new as the entry (one charged disk read).
+  const auto disk_at_least = [&](const CheckpointEntry& e) {
+    if (!disk_->ReadPage(e.page_id, disk_buf, ctx).ok()) return false;
+    const PageView dv(disk_buf.data(), disk_->page_bytes());
+    return dv.IsIntactCopyOf(e.page_id) && dv.header().lsn >= e.page_lsn;
+  };
   for (const CheckpointEntry& e : entries) {
     Partition& part = PartitionFor(e.page_id);
     const int64_t rec64 = static_cast<int64_t>(e.frame) - part.frame_base;
@@ -866,27 +873,17 @@ void SsdCacheBase::RestoreEntries(
       ++stats.dropped_verification;
       continue;
     }
-    if (!e.dirty) {
-      // A "clean" journal entry can predate the disk write of the same image (write-through designs journal the SSD
-      // admission before the buffer pool's disk write lands). Attaching —
-      // and especially covering — such an entry would let redo skip an
-      // update the disk never received, and a clean frame may later be
-      // evicted without write-back. Only a disk copy at least as new as the
-      // entry proves the "clean" claim; anything else drops the entry and
-      // redo rebuilds the page from the disk base.
-      const Status ds = disk_->ReadPage(e.page_id, disk_buf, ctx);
-      bool disk_current = false;
-      if (ds.ok()) {
-        const PageView dv(disk_buf.data(), disk_->page_bytes());
-        disk_current = dv.VerifyChecksum() &&
-                       dv.header().page_id == e.page_id &&
-                       dv.header().lsn >= e.page_lsn;
-      }
-      if (!disk_current) {
-        part.table.PushFree(rec);
-        ++stats.dropped_verification;
-        continue;
-      }
+    // A "clean" journal entry can predate the disk write of the same image
+    // (write-through designs journal the SSD admission before the buffer
+    // pool's disk write lands). Attaching — and especially covering — such
+    // an entry would let redo skip an update the disk never received, and a
+    // clean frame may later be evicted without write-back. Only a disk copy
+    // at least as new as the entry proves the "clean" claim; anything else
+    // drops the entry and redo rebuilds the page from the disk base.
+    if (!e.dirty && !disk_at_least(e)) {
+      part.table.PushFree(rec);
+      ++stats.dropped_verification;
+      continue;
     }
     bool superseded = false;
     if (max_update_lsn != nullptr) {
@@ -896,10 +893,14 @@ void SsdCacheBase::RestoreEntries(
     if (superseded) {
       part.table.PushFree(rec);
       // The copy is stale for serving reads, but it is still a valid page
-      // image at its LSN: seed the disk with it (dirty copies may predate
-      // the disk by a long stretch of skipped redo), and let redo roll the
-      // page forward from there.
-      if (e.dirty) {
+      // image at its LSN: seed the disk with it when the disk copy is older
+      // (dirty copies may predate the disk by a long stretch of skipped
+      // redo), and let redo roll the page forward from there. A disk copy
+      // at least as new must stay: the entry may be a stale journal record
+      // (erases go unwritten while the whole cache is degraded) whose page
+      // a completed checkpoint has since written, and redo starts after
+      // that checkpoint.
+      if (e.dirty && !disk_at_least(e)) {
         const IoResult w = disk_->WritePage(e.page_id, buf, ctx);
         TURBOBP_CHECK_OK(w.status);
         ctx.Wait(w.time);
@@ -935,7 +936,6 @@ void SsdCacheBase::RestoreEntries(
       part.heap.InsertClean(rec);
     }
     used_frames_.fetch_add(1);
-    NoteJournalPut(e.frame, e.page_id, e.page_lsn, e.dirty);
     if (covered_lsn != nullptr) {
       Lsn& cl = (*covered_lsn)[e.page_id];
       cl = std::max(cl, e.page_lsn);
@@ -985,7 +985,7 @@ std::vector<SsdManager::CheckpointEntry> SsdCacheBase::LazyScanEntries(
       const Status ds = disk_->ReadPage(pid, disk_buf, ctx);
       if (ds.ok()) {
         const PageView dv(disk_buf.data(), disk_->page_bytes());
-        if (dv.VerifyChecksum() && dv.header().page_id == pid) {
+        if (dv.IsIntactCopyOf(pid)) {
           if (dv.header().lsn > v.header().lsn) continue;  // stale leftover
           if (dv.header().lsn == v.header().lsn) {
             CheckpointEntry e;
@@ -1066,12 +1066,9 @@ bool SsdCacheBase::RecoverPersistentState(
               if (a.page_id != b.page_id) return a.page_id < b.page_id;
               return a.page_lsn > b.page_lsn;
             });
-  // The restore re-attaches into a live table; muting the journal hooks
-  // avoids staging a record per re-attached frame — the re-seal below
-  // snapshots the final table in one sweep instead.
-  journal_suppress_.store(true, std::memory_order_release);
+  // The restore stages no journal record per re-attached frame: the
+  // compaction below snapshots the final table in one sweep instead.
   RestoreEntries(entries, ctx, max_update_lsn, covered_lsn, st);
-  journal_suppress_.store(false, std::memory_order_release);
   const IoResult c = journal_->Compact(ctx);
   if (!c.ok()) {
     Counters::Bump(counters_.device_write_errors);
@@ -1081,10 +1078,7 @@ bool SsdCacheBase::RecoverPersistentState(
 }
 
 void SsdCacheBase::MaintainJournal(IoContext& ctx, bool force) {
-  if (journal_ == nullptr || degraded() ||
-      journal_suppress_.load(std::memory_order_acquire)) {
-    return;
-  }
+  if (journal_ == nullptr || degraded()) return;
   const IoResult r = journal_->Maintain(ctx, force);
   if (!r.ok()) {
     // Journal write failures are advisory for the cache (a stale journal

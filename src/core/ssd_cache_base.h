@@ -312,24 +312,20 @@ class SsdCacheBase : public SsdManager {
   // A full-page rewrite (NewPage) or redo supersedes the lost copy.
   void ClearLostPage(PageId pid) TURBOBP_EXCLUDES(fault_mu_);
 
-  // Drops every cached page (used between benchmark runs and by tests).
+  // Drops the cached copy of `pid`, if any (the clean->dirty transition).
   void Invalidate(PageId pid);
 
   // --- persistent-cache journal hooks ---------------------------------------
   // Optimistic publish-then-seal: the in-memory table mutation has already
   // happened (under the partition latch) when these stage the matching
-  // journal record. No-ops when persistence is off or restore suppresses
-  // journaling (latch order kSsdPartition -> kSsdJournal makes the calls
-  // legal under a partition latch).
+  // journal record. No-ops when persistence is off (latch order
+  // kSsdPartition -> kSsdJournal makes the calls legal under a partition
+  // latch).
   void NoteJournalPut(uint64_t frame, PageId pid, Lsn page_lsn, bool dirty) {
-    if (journal_ != nullptr && !journal_suppress_) {
-      journal_->NotePut(frame, pid, page_lsn, dirty);
-    }
+    if (journal_ != nullptr) journal_->NotePut(frame, pid, page_lsn, dirty);
   }
   void NoteJournalErase(uint64_t frame) {
-    if (journal_ != nullptr && !journal_suppress_) {
-      journal_->NoteErase(frame);
-    }
+    if (journal_ != nullptr) journal_->NoteErase(frame);
   }
   // Writes staged journal records to the device when enough have gathered
   // (always, when `force`). Must be called OUTSIDE partition latches; a
@@ -344,10 +340,7 @@ class SsdCacheBase : public SsdManager {
   std::vector<std::unique_ptr<Partition>> partitions_;
 
   // Persistent-cache metadata journal (null unless persistent_cache).
-  // journal_suppress_ mutes the Note* hooks while a restore re-attaches
-  // recovered entries (the post-restore compaction snapshots them anyway).
   std::unique_ptr<SsdMetadataJournal> journal_;
-  std::atomic<bool> journal_suppress_{false};
 
   std::atomic<int64_t> used_frames_{0};
   std::atomic<int64_t> dirty_frames_{0};

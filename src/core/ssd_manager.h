@@ -113,7 +113,8 @@ class SsdManager {
 
   // Attempts to serve `pid` from the SSD. On success fills `out`, charges
   // the SSD read to ctx (blocking), updates replacement state and returns
-  // true. Honors throttle control: may refuse when the SSD queue is long,
+  // true. A `true` return means `out` holds a verified image of `pid`
+  // (PageView::IsIntactCopyOf): callers do not check it again. Honors throttle control: may refuse when the SSD queue is long,
   // unless the SSD copy is newer than disk (then it must serve the read for
   // correctness, Section 3.3.2).
   //

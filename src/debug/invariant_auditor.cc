@@ -100,6 +100,16 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
                                         " (page " + PidStr(f.page_id) +
                                         ") is pinned");
         }
+        // A clean frame was verified where it entered or sealed by the
+        // flush that cleaned it; its eviction hands the bytes to the SSD
+        // without re-sealing. Pinned frames are skipped: a writer may be
+        // mid-edit before its LogUpdate.
+        if (st == FrameState::kResident && !f.dirty && f.pin_count == 0 &&
+            !PageView(pool.FrameSpan(i)).IsIntactCopyOf(f.page_id)) {
+          report.Add("pool.frames", "clean frame " + std::to_string(i) +
+                                        " is not an intact copy of page " +
+                                        PidStr(f.page_id));
+        }
       } else {
         if (f.dirty) {
           report.Add("pool.frames",

@@ -57,7 +57,9 @@ class AuditReport {
 // Checked invariants (Section 3.1's structures):
 //   pool:  every page-table entry maps to a frame holding that page; every
 //          resident frame is indexed; free-listed frames are empty, unpinned
-//          and listed exactly once; dirty/pinned frames are resident.
+//          and listed exactly once; dirty/pinned frames are resident;
+//          every unpinned clean resident frame is an intact copy of its
+//          page (PageView::IsIntactCopyOf).
 //   ssd:   every hash entry points at a live buffer-table record in the
 //          right partition and bucket; heap membership matches the record
 //          state (clean side <=> kClean, dirty side <=> kDirty, free and

@@ -28,7 +28,6 @@ Status DiskManager::ReadPages(PageId first, uint32_t n, std::span<uint8_t> out,
     reads_.fetch_add(1, std::memory_order_relaxed);
     pages_read_.fetch_add(n, std::memory_order_relaxed);
     if (n > 1) multi_page_reads_.fetch_add(1, std::memory_order_relaxed);
-    ctx.disk_reads += n;
   }
   if (!res.ok()) {
     io_errors_.fetch_add(1, std::memory_order_relaxed);

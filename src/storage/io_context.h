@@ -54,12 +54,9 @@ struct IoContext {
                    .count());
   }
 
-  // Per-context I/O accounting (reset by the driver per measurement window).
-  int64_t bp_hits = 0;
-  int64_t bp_misses = 0;
-  int64_t ssd_hits = 0;
-  int64_t disk_reads = 0;
-  Time latch_wait = 0;  // time spent waiting on page latches (TAC ablation)
+  // Time spent waiting on page latches (TAC ablation), summed per run by
+  // the workload layer.
+  Time latch_wait = 0;
 
   // Blocks the client until `completion`.
   void Wait(Time completion) {

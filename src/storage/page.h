@@ -20,9 +20,10 @@ enum class PageType : uint16_t {
 };
 
 // On-page header, stored at offset 0 of every database page. The checksum
-// covers the payload (everything after the header) and is verified on every
-// device read, so a stale or corrupt copy on any of the three tiers
-// (memory / SSD / disk) is caught at the point it is consumed.
+// covers the payload (everything after the header). It is sealed where a
+// dirty image leaves memory and verified once where bytes enter from a
+// device, so a stale or corrupt copy on the SSD or the disk is caught at the
+// point it is read.
 struct PageHeader {
   PageId page_id = kInvalidPageId;
   Lsn lsn = kInvalidLsn;          // LSN of the last update (WAL rule input)
@@ -72,6 +73,11 @@ class PageView {
   }
   void SealChecksum() { header().checksum = ComputeChecksum(); }
   bool VerifyChecksum() const { return header().checksum == ComputeChecksum(); }
+  // The one check every page image gets where it enters from a device: it
+  // names `pid` and its payload matches the sealed checksum.
+  bool IsIntactCopyOf(PageId pid) const {
+    return header().page_id == pid && VerifyChecksum();
+  }
 
  private:
   uint8_t* data_;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 
+#include "core/lazy_cleaning.h"
+#include "sim/sim_executor.h"
 #include "storage/sim_device.h"
 #include "wal/log_manager.h"
 
@@ -265,6 +268,117 @@ TEST_F(BufferPoolDeathTest, CorruptDiskPagePanicsOnFetch) {
   IoContext ctx;
   EXPECT_DEATH(pool_->FetchPage(42, AccessKind::kRandom, ctx),
                "page checksum mismatch");
+}
+
+// The SSD verifies each hit once, where it reads the frame, and the pool
+// trusts that check. Detection must survive: a corrupt SSD frame is
+// quarantined and the disk copy served, or, when the frame held the only
+// current copy, the fetch fails instead of serving the stale disk copy.
+class SsdFrameCorruptionTest : public BufferPoolTest {
+ protected:
+  void SetUp() override {
+    BufferPoolTest::SetUp();
+    executor_ = std::make_unique<SimExecutor>();
+    ssd_dev_ = std::make_unique<SimDevice>(64, kPage,
+                                           std::make_unique<SsdModel>());
+    SsdCacheOptions sopts;
+    sopts.num_frames = 32;
+    sopts.num_partitions = 1;
+    ssd_ = std::make_unique<LazyCleaningCache>(ssd_dev_.get(), disk_.get(),
+                                               sopts, executor_.get());
+    pool_->set_ssd_manager(ssd_.get());
+    ctx_.executor = executor_.get();
+    ctx_.now = Seconds(1);  // every admission write below has landed
+  }
+
+  std::vector<uint8_t> DiskImage(PageId pid) {
+    std::vector<uint8_t> buf(kPage);
+    EXPECT_TRUE(disk_dev_->store().Read(pid, 1, buf, 0).ok());
+    return buf;
+  }
+
+  // Caches the disk's own image of `pid` on the SSD as a clean copy.
+  void AdmitClean(PageId pid) {
+    IoContext ctx;
+    ctx.executor = executor_.get();
+    ssd_->OnEvictClean(pid, DiskImage(pid), AccessKind::kRandom, ctx);
+    ASSERT_EQ(ssd_->Probe(pid), SsdProbe::kCleanCopy);
+  }
+
+  // Flips a payload byte of the SSD frame holding `pid`.
+  void CorruptSsdFrame(PageId pid) {
+    for (const auto& e : ssd_->SnapshotForCheckpoint()) {
+      if (e.page_id != pid) continue;
+      std::vector<uint8_t> buf(kPage);
+      ASSERT_TRUE(ssd_dev_->store().Read(e.frame, 1, buf, 0).ok());
+      buf[kPageHeaderSize] ^= 0xFF;
+      ASSERT_TRUE(ssd_dev_->store().Write(e.frame, 1, buf, 0).ok());
+      return;
+    }
+    FAIL() << "page " << pid << " is not cached on the ssd";
+  }
+
+  // The pool's resident image of `pid` is byte-identical to the disk's.
+  void ExpectServedFromDisk(PageId pid) {
+    PageGuard g = pool_->FetchPage(pid, AccessKind::kRandom, ctx_);
+    ASSERT_TRUE(g.valid());
+    EXPECT_EQ(std::memcmp(g.view().data(), DiskImage(pid).data(), kPage), 0)
+        << "page " << pid;
+  }
+
+  std::unique_ptr<SimExecutor> executor_;
+  std::unique_ptr<SimDevice> ssd_dev_;
+  std::unique_ptr<LazyCleaningCache> ssd_;
+  IoContext ctx_;
+};
+
+TEST_F(SsdFrameCorruptionTest, CorruptCleanFrameFallsBackToDisk) {
+  AdmitClean(42);
+  CorruptSsdFrame(42);
+  ExpectServedFromDisk(42);
+  EXPECT_EQ(pool_->stats().ssd_hits, 0);
+  EXPECT_GE(ssd_->stats().frame_corruptions, 1);
+  EXPECT_EQ(ssd_->stats().quarantined_frames, 1);
+  EXPECT_EQ(ssd_->Probe(42), SsdProbe::kAbsent);
+}
+
+TEST_F(SsdFrameCorruptionTest, CorruptTrimmedEndsOfReadAheadFallBackToDisk) {
+  AdmitClean(100);  // leading end of the range
+  AdmitClean(107);  // trailing end
+  CorruptSsdFrame(100);
+  CorruptSsdFrame(107);
+  pool_->PrefetchRange(100, 8, ctx_);
+  // Neither end could be trimmed off: the whole range came from the disk.
+  EXPECT_EQ(pool_->stats().ssd_hits, 0);
+  EXPECT_EQ(pool_->stats().disk_page_reads, 8);
+  EXPECT_GE(ssd_->stats().frame_corruptions, 2);
+  EXPECT_EQ(ssd_->stats().quarantined_frames, 2);
+  for (PageId p = 100; p < 108; ++p) {
+    ASSERT_TRUE(pool_->Contains(p)) << p;
+    ExpectServedFromDisk(p);
+  }
+}
+
+TEST_F(SsdFrameCorruptionTest, CorruptDirtyFrameFailsTheFetch) {
+  std::vector<uint8_t> newer = DiskImage(9);
+  PageView v(newer.data(), kPage);
+  v.header().lsn = 5;
+  v.payload()[0] = 0xAB;
+  v.SealChecksum();
+  IoContext ectx;
+  ectx.executor = executor_.get();
+  ASSERT_TRUE(
+      ssd_->OnEvictDirty(9, newer, AccessKind::kRandom, 5, ectx).cached_on_ssd);
+  ASSERT_EQ(ssd_->Probe(9), SsdProbe::kNewerCopy);
+  CorruptSsdFrame(9);
+  Status status;
+  PageGuard g = pool_->FetchPage(9, AccessKind::kRandom, ctx_, &status);
+  EXPECT_FALSE(g.valid()) << "the stale disk copy was served";
+  EXPECT_TRUE(status.IsIoError()) << status.ToString();
+  EXPECT_EQ(status.message(), "newest copy of page lost with the ssd");
+  EXPECT_FALSE(pool_->Contains(9));
+  EXPECT_GE(ssd_->stats().frame_corruptions, 1);
+  EXPECT_EQ(ssd_->stats().lost_pages, 1);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/ssd_cache_base.h"
 #include "engine/database.h"
 #include "storage/page.h"
 
@@ -185,6 +186,40 @@ TEST_F(RestartExtensionTest, ReadExpansionDoesNotShadowRestoredDirtyFrame) {
       system_->buffer_pool().FetchPage(dirty_pid, AccessKind::kRandom, rctx);
   EXPECT_EQ(g.view().header().lsn, last_lsn_.at(dirty_pid));
   EXPECT_EQ(g.view().payload()[0], shadow_.at(dirty_pid));
+}
+
+// Regression: while the whole cache is degraded its journal is not
+// maintained, so the purge's erases never reach the device, yet a
+// checkpoint still completes (the journal is only a hint). The stale dirty
+// entries survive the crash. The restore used to re-seed each superseded
+// dirty image over the disk copy even when the disk copy was newer, and
+// redo, which starts at the checkpoint, never replayed the update it
+// overwrote.
+TEST_F(RestartExtensionTest, StaleDirtyEntryCannotRollBackCheckpointedUpdate) {
+  IoContext ctx = system_->MakeContext();
+  Rng rng(7);
+  Churn(300, ctx, rng);
+  auto& cache = static_cast<SsdCacheBase&>(system_->ssd_manager());
+  ASSERT_TRUE(cache.journal()->Maintain(ctx, /*force=*/true).ok());
+  std::vector<PageId> dirty_pages;
+  for (const auto& e : cache.SnapshotForCheckpoint()) {
+    if (e.dirty) dirty_pages.push_back(e.page_id);
+  }
+  ASSERT_FALSE(dirty_pages.empty());
+  cache.Degrade(ctx);
+  ASSERT_TRUE(cache.degraded());
+  for (const PageId p : dirty_pages) {
+    CommittedWrite(p, static_cast<uint8_t>(shadow_.at(p) ^ 0xFF), ctx);
+    system_->executor().RunUntil(ctx.now);
+    ctx.now = std::max(ctx.now, system_->executor().now());
+  }
+  system_->checkpoint().RunCheckpoint(ctx);
+  PersistentRestoreStats restore;
+  IoContext rctx;
+  CrashAndRecover(&restore, rctx);
+  EXPECT_TRUE(restore.journal_valid);
+  EXPECT_EQ(restore.reseeded, 0u) << "a stale image overwrote a newer disk copy";
+  VerifyShadowThroughPool(rctx);
 }
 
 TEST_F(RestartExtensionTest, RestartBeforeAnyCheckpointStaysCorrect) {

@@ -207,6 +207,27 @@ TEST_F(InvariantAuditorTest, DetectsFreeListedResidentFrame) {
       << report.ToString();
 }
 
+TEST_F(InvariantAuditorTest, DetectsCleanFrameThatIsNotAnIntactCopy) {
+  BufferPool::Options opts;
+  opts.num_frames = 8;
+  opts.page_bytes = kPage;
+  opts.expand_reads_until_warm = false;
+  BufferPool pool(opts, &disk_, &log_, nullptr);
+  IoContext ctx;
+  {
+    PageGuard g = pool.FetchPage(6, AccessKind::kRandom, ctx);
+    g.view().payload()[0] ^= 0xFF;  // an edit that never reaches LogUpdate
+    // Pinned: the writer may still be mid-edit, so nothing is reported yet.
+    EXPECT_TRUE(InvariantAuditor::AuditBufferPool(pool).ok());
+  }
+  // Unpinned and still clean, but no longer matching its checksum: its
+  // eviction would hand the SSD an image that fails verification.
+  const AuditReport report = InvariantAuditor::AuditBufferPool(pool);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(HasViolationContaining(report, "not an intact copy of page 6"))
+      << report.ToString();
+}
+
 TEST_F(InvariantAuditorTest, DetectsStalePageTableEntry) {
   BufferPool::Options opts;
   opts.num_frames = 8;

@@ -18,7 +18,7 @@ TEST(DiskManagerTest, BlockingReadAdvancesClientClock) {
   ASSERT_TRUE(dm.ReadPage(5, buf, ctx).ok());
   EXPECT_GT(ctx.now, Millis(5));  // paid a random-read seek
   EXPECT_EQ(dm.reads_issued(), 1);
-  EXPECT_EQ(ctx.disk_reads, 1);
+  EXPECT_EQ(dm.pages_read(), 1);
 }
 
 TEST(DiskManagerTest, AsyncWriteLeavesClientClockAlone) {
