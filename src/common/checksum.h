@@ -6,7 +6,8 @@
 
 namespace turbobp {
 
-// CRC32C (Castagnoli), software slice-by-one implementation. Every page
+// CRC32C (Castagnoli): the SSE4.2 crc32 instruction when the CPU has it,
+// else a byte-at-a-time table loop; both give the same value. Every page
 // carries a checksum over its payload; the buffer manager verifies it on
 // each device read, so any stale- or torn-copy bug between the three page
 // locations (memory / SSD / disk) surfaces immediately as corruption.

@@ -146,16 +146,21 @@ Time DeviceTimeline::Schedule(const IoRequest& req, Time now,
     write_bytes_ += nbytes;
     if (write_traffic_ != nullptr) write_traffic_->Record(now, nbytes);
   }
+  // Without this, a device whose queue length nobody asks for (the log
+  // device, the disk spindles) would keep one entry per request forever.
+  DropCompleted(now);
   pending_completions_.insert(completion);
   return completion;
 }
 
 int DeviceTimeline::QueueLength(Time now) {
-  while (!pending_completions_.empty() &&
-         *pending_completions_.begin() <= now) {
-    pending_completions_.erase(pending_completions_.begin());
-  }
+  DropCompleted(now);
   return static_cast<int>(pending_completions_.size());
+}
+
+void DeviceTimeline::DropCompleted(Time now) {
+  pending_completions_.erase(pending_completions_.begin(),
+                             pending_completions_.upper_bound(now));
 }
 
 void DeviceTimeline::Reset() {

@@ -144,6 +144,9 @@ class DeviceTimeline {
   void Reset();
 
  private:
+  // Forgets the requests that completed at or before `now`.
+  void DropCompleted(Time now);
+
   DeviceModel* model_;
   uint32_t page_bytes_;
   // Booked busy intervals, keyed by start time (non-overlapping). Old
@@ -156,6 +159,8 @@ class DeviceTimeline {
   int64_t writes_ = 0;
   int64_t read_bytes_ = 0;
   int64_t write_bytes_ = 0;
+  // Completion times of requests not yet seen to complete; QueueLength
+  // counts them.
   std::multiset<Time> pending_completions_;
   TimeSeries* read_traffic_ = nullptr;
   TimeSeries* write_traffic_ = nullptr;

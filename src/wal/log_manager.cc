@@ -1,6 +1,7 @@
 #include "wal/log_manager.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/checksum.h"
 #include "common/status.h"
@@ -9,14 +10,22 @@
 namespace turbobp {
 
 uint32_t LogRecord::ComputeChecksum() const {
-  uint32_t crc = Crc32c(&lsn, sizeof(lsn));
+  // The header fields packed in order, with no padding, then the payload:
+  // two CRC passes instead of one call per field, over the same bytes.
   const uint8_t type_byte = static_cast<uint8_t>(type);
-  crc = Crc32c(&type_byte, sizeof(type_byte), crc);
-  crc = Crc32c(&txn_id, sizeof(txn_id), crc);
-  crc = Crc32c(&page_id, sizeof(page_id), crc);
-  crc = Crc32c(&offset, sizeof(offset), crc);
-  if (!bytes.empty()) crc = Crc32c(bytes.data(), bytes.size(), crc);
-  return crc;
+  uint8_t header[sizeof(lsn) + sizeof(type_byte) + sizeof(txn_id) +
+                 sizeof(page_id) + sizeof(offset)];
+  size_t at = 0;
+  auto put = [&](const void* field, size_t size) {
+    std::memcpy(header + at, field, size);
+    at += size;
+  };
+  put(&lsn, sizeof(lsn));
+  put(&type_byte, sizeof(type_byte));
+  put(&txn_id, sizeof(txn_id));
+  put(&page_id, sizeof(page_id));
+  put(&offset, sizeof(offset));
+  return Crc32c(bytes.data(), bytes.size(), Crc32c(header, sizeof(header)));
 }
 
 namespace {

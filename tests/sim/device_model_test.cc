@@ -154,6 +154,21 @@ TEST(DeviceTimelineTest, QueueLengthTracksPending) {
   EXPECT_EQ(tl.QueueLength(Seconds(10)), 0);
 }
 
+// A device nobody asks for its queue length (the log device, the disk
+// spindles) must not keep an entry per request it ever served: a request
+// arriving at `now` forgets those completed by then.
+TEST(DeviceTimelineTest, ScheduleForgetsCompletedRequests) {
+  SsdModel model;
+  DeviceTimeline tl(&model, 8192);
+  Time now = 0;
+  for (int i = 0; i < 10000; ++i) {
+    now = tl.Schedule(IoRequest{IoOp::kWrite, static_cast<uint64_t>(i), 1}, now);
+  }
+  // Only the last request is still counted, even by a query at time 0.
+  EXPECT_EQ(tl.QueueLength(0), 1);
+  EXPECT_EQ(tl.QueueLength(now), 0);
+}
+
 TEST(DeviceTimelineTest, CountsAndBytes) {
   SsdModel model;
   DeviceTimeline tl(&model, 8192);

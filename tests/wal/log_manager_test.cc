@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "common/checksum.h"
+#include "common/rng.h"
 #include "storage/sim_device.h"
 
 namespace turbobp {
@@ -123,6 +125,32 @@ TEST_F(LogManagerTest, RecordChecksumsSealAtAppendAndCatchCorruption) {
   EXPECT_TRUE(rec.VerifyChecksum());
   rec.page_id = 6;
   EXPECT_FALSE(rec.VerifyChecksum());  // header damage
+}
+
+// The record checksum is one CRC over the packed header fields, chained
+// into one over the payload. That is the same byte sequence as one call per
+// field, so sealed records keep the values they had under that form.
+TEST(LogRecordChecksumTest, MatchesOneCallPerField) {
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    LogRecord rec;
+    rec.lsn = rng.Next();
+    rec.type = static_cast<LogRecordType>(rng.Uniform(4));
+    rec.txn_id = rng.Next();
+    rec.page_id = rng.Next();
+    rec.offset = static_cast<uint32_t>(rng.Next());
+    rec.bytes.resize(i % 5 == 0 ? 0 : rng.Uniform(1100));
+    for (auto& b : rec.bytes) b = static_cast<uint8_t>(rng.Next());
+
+    uint32_t crc = Crc32c(&rec.lsn, sizeof(rec.lsn));
+    const auto type_byte = static_cast<uint8_t>(rec.type);
+    crc = Crc32c(&type_byte, sizeof(type_byte), crc);
+    crc = Crc32c(&rec.txn_id, sizeof(rec.txn_id), crc);
+    crc = Crc32c(&rec.page_id, sizeof(rec.page_id), crc);
+    crc = Crc32c(&rec.offset, sizeof(rec.offset), crc);
+    crc = Crc32c(rec.bytes.data(), rec.bytes.size(), crc);
+    ASSERT_EQ(rec.ComputeChecksum(), crc) << "record " << i;
+  }
 }
 
 TEST_F(LogManagerTest, TruncateTornTailIsNoopOnCleanDurableLog) {
