@@ -68,6 +68,7 @@ BufferPool::BufferPool(const Options& options, DiskManager* disk,
   arena_.resize(options.num_frames * static_cast<size_t>(options.page_bytes));
   frames_ = std::make_unique<Frame[]>(options.num_frames);
   frame_sync_ = std::make_unique<FrameSync[]>(options.num_frames);
+  page_table_.assign(disk->num_pages(), -1);
 
   // Page-table/free-list shards: one per 16 frames, capped at 16 (small
   // pools keep a single shard, preserving the exact single-list replacement
@@ -89,6 +90,20 @@ BufferPool::BufferPool(const Options& options, DiskManager* disk,
   }
   free_frames_.store(static_cast<int64_t>(options.num_frames),
                      std::memory_order_relaxed);
+}
+
+void BufferPool::MapLocked(Shard& sh, PageId pid, int32_t frame) {
+  int32_t& slot = Slot(sh, pid);
+  TURBOBP_DCHECK(slot < 0);
+  slot = frame;
+  ++sh.mapped;
+}
+
+void BufferPool::UnmapLocked(Shard& sh, PageId pid) {
+  int32_t& slot = Slot(sh, pid);
+  TURBOBP_DCHECK(slot >= 0);
+  slot = -1;
+  --sh.mapped;
 }
 
 BufferPool::ShardLock BufferPool::LockShard(const Shard& sh) const {
@@ -225,10 +240,7 @@ void BufferPool::AbortRead(int32_t frame, PageId pid) {
   Shard& sh = ShardOfFrame(frame);
   ShardLock lock = LockShard(sh);
   Frame& f = frames_[frame];
-  const auto it = sh.page_table.find(pid);
-  if (it != sh.page_table.end() && it->second == frame) {
-    sh.page_table.erase(it);
-  }
+  if (Slot(sh, pid) == frame) UnmapLocked(sh, pid);
   ResetFrameLocked(f);
   sh.free_list.push_back(frame);
   free_frames_.fetch_add(1, std::memory_order_relaxed);
@@ -241,7 +253,7 @@ void BufferPool::InstallExpandedPage(PageId p, const uint8_t* bytes,
                                      IoContext& ctx) {
   Shard& sh = *shards_[ShardOf(p)];
   ShardLock lock = LockShard(sh);
-  if (sh.page_table.contains(p)) return;
+  if (Slot(sh, p) >= 0) return;
   if (sh.free_list.empty()) return;  // speculative pages only: never evict
   const int32_t fr = sh.free_list.back();
   sh.free_list.pop_back();
@@ -258,21 +270,21 @@ void BufferPool::InstallExpandedPage(PageId p, const uint8_t* bytes,
   f.access_history[0] = f.access_history[1] = 0;
   Touch(f, ctx.now);
   f.state.store(FrameState::kResident, std::memory_order_relaxed);
-  sh.page_table.emplace(p, fr);
+  MapLocked(sh, p, fr);
   StatCounters::Bump(counters_.expanded_pages);
 }
 
 PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
                                 Status* out_error) {
+  TURBOBP_CHECK(pid < page_table_.size());
   if (ctx.charge) ctx.now += options_.hit_cpu;
   Shard& sh = *shards_[ShardOf(pid)];
   int32_t frame = -1;
   int spins = 0;
   for (;;) {
     ShardLock lock = LockShard(sh);
-    const auto it = sh.page_table.find(pid);
-    if (it != sh.page_table.end()) {
-      const int32_t found = it->second;
+    const int32_t found = Slot(sh, pid);
+    if (found >= 0) {
       Frame& f = frames_[found];
       const FrameState st = f.state.load(std::memory_order_relaxed);
       if (st == FrameState::kReading || st == FrameState::kEvicting) {
@@ -301,7 +313,7 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
     }
 
     frame = ClaimFrame(sh, lock, ctx, /*may_wait=*/true);
-    if (sh.page_table.contains(pid)) {
+    if (Slot(sh, pid) >= 0) {
       // The claim dropped the latch (eviction or wait) and another client
       // published this page meanwhile; retry as a hit.
       ReleaseClaimedLocked(sh, frame);
@@ -314,7 +326,7 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
     f.kind = kind;
     f.ready_at = ctx.now;
     f.state.store(FrameState::kReading, std::memory_order_relaxed);
-    sh.page_table.emplace(pid, frame);
+    MapLocked(sh, pid, frame);
     // Commitment point: this call is a miss (counted exactly once even if
     // the claim retried above).
     counters_.Classified(counters_.misses);
@@ -384,14 +396,13 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
 }
 
 PageGuard BufferPool::NewPage(PageId pid, PageType type, IoContext& ctx) {
+  TURBOBP_CHECK(pid < page_table_.size());
   Shard& sh = *shards_[ShardOf(pid)];
   int spins = 0;
   for (;;) {
     ShardLock lock = LockShard(sh);
-    int32_t frame;
-    const auto it = sh.page_table.find(pid);
-    if (it != sh.page_table.end()) {
-      frame = it->second;
+    int32_t frame = Slot(sh, pid);
+    if (frame >= 0) {
       Frame& stale = frames_[frame];
       const FrameState st = stale.state.load(std::memory_order_relaxed);
       if (st != FrameState::kResident) {
@@ -403,11 +414,11 @@ PageGuard BufferPool::NewPage(PageId pid, PageType type, IoContext& ctx) {
       // reclaim the frame in place.
       TURBOBP_CHECK(stale.pin_count == 0);
       TURBOBP_CHECK(!stale.dirty);
-      sh.page_table.erase(it);
+      UnmapLocked(sh, pid);
       ++sh.transient;  // claimed by us until installed below
     } else {
       frame = ClaimFrame(sh, lock, ctx, /*may_wait=*/true);
-      if (sh.page_table.contains(pid)) {
+      if (Slot(sh, pid) >= 0) {
         ReleaseClaimedLocked(sh, frame);
         continue;
       }
@@ -425,7 +436,7 @@ PageGuard BufferPool::NewPage(PageId pid, PageType type, IoContext& ctx) {
     f.pin_count = 1;
     f.state.store(FrameState::kResident, std::memory_order_relaxed);
     --sh.transient;
-    sh.page_table.emplace(pid, frame);
+    MapLocked(sh, pid, frame);
     BumpEpochAndNotify(frame);
     NotifyAvail(sh);
     ssd_->OnPageDirtied(pid);
@@ -450,12 +461,12 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
     const PageId p = first + i;
     Shard& sh = *shards_[ShardOf(p)];
     ShardLock lock = LockShard(sh);
-    if (sh.page_table.contains(p)) continue;
+    if (Slot(sh, p) >= 0) continue;
     // Read-ahead is advisory: skip pages rather than stall behind a shard
     // whose frames are all pinned or in flight.
     const int32_t fr = ClaimFrame(sh, lock, ctx, /*may_wait=*/false);
     if (fr < 0) continue;
-    if (sh.page_table.contains(p)) {  // claim's eviction lost a publish race
+    if (Slot(sh, p) >= 0) {  // claim's eviction lost a publish race
       ReleaseClaimedLocked(sh, fr);
       continue;
     }
@@ -464,7 +475,7 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
     f.kind = AccessKind::kSequential;
     f.ready_at = ctx.now;
     f.state.store(FrameState::kReading, std::memory_order_relaxed);
-    sh.page_table.emplace(p, fr);
+    MapLocked(sh, p, fr);
     lock.unlock();
     pages.push_back({p, fr, ssd_->Probe(p)});
   }
@@ -535,9 +546,10 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
 }
 
 bool BufferPool::Contains(PageId pid) const {
+  TURBOBP_CHECK(pid < page_table_.size());
   const Shard& sh = *shards_[ShardOf(pid)];
   ShardLock lock = LockShard(sh);
-  return sh.page_table.contains(pid);
+  return Slot(sh, pid) >= 0;
 }
 
 int64_t BufferPool::DirtyFrameCount() const {
@@ -556,7 +568,7 @@ int64_t BufferPool::UsedFrameCount() const {
   int64_t n = 0;
   for (const auto& shp : shards_) {
     ShardLock lock = LockShard(*shp);
-    n += static_cast<int64_t>(shp->page_table.size());
+    n += shp->mapped;
   }
   return n;
 }
@@ -675,7 +687,7 @@ void BufferPool::EvictFrameLocked(Shard& sh, ShardLock& lock, int32_t frame,
   }
 
   lock.lock();
-  sh.page_table.erase(pid);
+  UnmapLocked(sh, pid);
   ResetFrameLocked(f);
   // The frame stays claimed by the caller (still counted in sh.transient);
   // only same-page waiters are woken, to re-probe and miss.
@@ -792,14 +804,18 @@ void BufferPool::Reset() {
   for (const auto& shp : shards_) {
     Shard& sh = *shp;
     ShardLock lock = LockShard(sh);
-    sh.page_table.clear();
     sh.victim_heap = {};
     sh.free_list.clear();
     sh.transient = 0;
     for (int32_t i = sh.frame_end - 1; i >= sh.frame_begin; --i) {
+      // Every mapped entry of the shard names a frame of the shard that
+      // holds its page (the auditor's page-table rules).
+      const PageId pid = frames_[i].page_id;
+      if (pid != kInvalidPageId && Slot(sh, pid) == i) UnmapLocked(sh, pid);
       ResetFrameLocked(frames_[i]);
       sh.free_list.push_back(i);
     }
+    TURBOBP_CHECK(sh.mapped == 0);
     NotifyAvail(sh);
   }
   free_frames_.store(static_cast<int64_t>(options_.num_frames),

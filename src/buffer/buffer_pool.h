@@ -8,7 +8,6 @@
 #include <mutex>
 #include <queue>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
@@ -96,6 +95,9 @@ struct BufferPoolStats {
 //
 // Replacement is LRU-2 via a lazily rebuilt victim heap keyed on each
 // frame's penultimate access time.
+//
+// The page table is direct: one entry per disk page, so FetchPage, NewPage
+// and Contains panic on a page id past the disk's end, in every build.
 //
 // Concurrency (DESIGN.md §10): the page table, free list and victim heap are
 // sharded by page id, and no shard latch is ever held across device I/O.
@@ -240,7 +242,8 @@ class BufferPool {
   using ShardLock = std::unique_lock<ShardMutex>;
 
   // One shard of the page table / free list / victim heap, covering the
-  // contiguous frame range [frame_begin, frame_end).
+  // contiguous frame range [frame_begin, frame_end) and the page-table
+  // entries of the pages p with ShardOf(p) == this shard.
   struct Shard {
     mutable ShardMutex mu;
     // Signalled whenever a frame of this shard may have become claimable
@@ -252,7 +255,8 @@ class BufferPool {
     // Frames mid-I/O (kReading/kWriting/kEvicting) plus frames claimed off
     // the free list or out of an eviction but not yet installed/released.
     int64_t transient TURBOBP_GUARDED_BY(mu) = 0;
-    std::unordered_map<PageId, int32_t> page_table TURBOBP_GUARDED_BY(mu);
+    // Page-table entries of this shard that map a frame.
+    int64_t mapped TURBOBP_GUARDED_BY(mu) = 0;
     std::vector<int32_t> free_list TURBOBP_GUARDED_BY(mu);
     std::priority_queue<VictimEntry, std::vector<VictimEntry>,
                         std::greater<VictimEntry>>
@@ -306,6 +310,15 @@ class BufferPool {
   Shard& ShardOfFrame(int32_t frame) const {
     return *shards_[static_cast<size_t>(frames_[frame].shard)];
   }
+
+  // The page-table entry of `pid`, owned by shard `sh` (= ShardOf(pid)):
+  // the frame holding the page (or its in-flight I/O), or -1 if unmapped.
+  int32_t& Slot(const Shard& sh, PageId pid) const TURBOBP_REQUIRES(sh.mu) {
+    TURBOBP_DCHECK(shards_[ShardOf(pid)].get() == &sh);
+    return page_table_[pid];
+  }
+  void MapLocked(Shard& sh, PageId pid, int32_t frame) TURBOBP_REQUIRES(sh.mu);
+  void UnmapLocked(Shard& sh, PageId pid) TURBOBP_REQUIRES(sh.mu);
 
   // Locks a shard, accounting contended acquisitions (the pool-latch-wait
   // metric the latch-decomposition ablation reports). Returns ownership via
@@ -396,6 +409,8 @@ class BufferPool {
   std::unique_ptr<Frame[]> frames_;
   std::unique_ptr<FrameSync[]> frame_sync_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Direct page table, one entry per disk page (see Slot). Sized once.
+  mutable std::vector<int32_t> page_table_;
 
   std::atomic<bool> warmed_up_{false};  // pool filled once (stops expansion)
   std::atomic<int64_t> free_frames_{0};  // total across shards (expansion gate)

@@ -42,9 +42,15 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
     const std::string where = "shard " + std::to_string(si) + ": ";
     int64_t in_flight = 0;
 
-    // Hash table -> frame direction: every entry maps to a frame of this
-    // shard that holds exactly that page, and no two entries share a frame.
-    for (const auto& [pid, frame] : sh.page_table) {
+    // Page table -> frame direction, in page-id order over this shard's
+    // entries: every mapped entry names a frame of this shard that holds
+    // exactly that page, and no two entries share a frame.
+    int64_t entries = 0;
+    for (PageId pid = 0; pid < pool.page_table_.size(); ++pid) {
+      if (pool.ShardOf(pid) != si) continue;
+      const int32_t frame = pool.Slot(sh, pid);
+      if (frame < 0) continue;
+      ++entries;
       if (frame < sh.frame_begin || frame >= sh.frame_end) {
         report.Add("pool.page_table", where + "entry for page " + PidStr(pid) +
                                           " points at out-of-range frame " +
@@ -70,7 +76,7 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
       }
     }
 
-    // Frame -> hash table direction, state hygiene, empty-frame hygiene.
+    // Frame -> page table direction, state hygiene, empty-frame hygiene.
     for (int32_t i = sh.frame_begin; i < sh.frame_end; ++i) {
       const auto& f = pool.frames_[i];
       const FrameState st = f.state.load(std::memory_order_relaxed);
@@ -79,8 +85,9 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
         ++in_flight;
       }
       if (f.page_id != kInvalidPageId) {
-        const auto it = sh.page_table.find(f.page_id);
-        if (it == sh.page_table.end() || it->second != i) {
+        const PageId pid = f.page_id;
+        if (pid >= pool.page_table_.size() || pool.ShardOf(pid) != si ||
+            pool.Slot(sh, pid) != i) {
           report.Add("pool.frames", "resident frame " + std::to_string(i) +
                                         " (page " + PidStr(f.page_id) +
                                         ") is not indexed by the page table");
@@ -153,13 +160,20 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
       }
     }
 
-    // Shard accounting: every frame is free-listed, mapped, or
-    // claimed-but-unpublished, and the transient counter must equal the
-    // claimed-but-unpublished frames plus the mapped frames that are mid-I/O
-    // (kReading / kWriting / kEvicting all keep their page-table entry).
+    // Shard accounting: the mapped counter matches the entries, every frame
+    // is free-listed, mapped, or claimed-but-unpublished, and the transient
+    // counter must equal the claimed-but-unpublished frames plus the mapped
+    // frames that are mid-I/O (kReading / kWriting / kEvicting all keep
+    // their page-table entry).
+    if (sh.mapped != entries) {
+      report.Add("pool.shard", where + "mapped counter " +
+                                   std::to_string(sh.mapped) + " != " +
+                                   std::to_string(entries) +
+                                   " page-table entries");
+    }
     const int64_t range = sh.frame_end - sh.frame_begin;
-    const int64_t claimed = range - static_cast<int64_t>(sh.free_list.size()) -
-                            static_cast<int64_t>(sh.page_table.size());
+    const int64_t claimed =
+        range - static_cast<int64_t>(sh.free_list.size()) - entries;
     if (sh.transient != claimed + in_flight) {
       report.Add("pool.shard",
                  where + "transient counter " + std::to_string(sh.transient) +
@@ -453,11 +467,13 @@ AuditReport InvariantAuditor::AuditSystem(const BufferPool& pool,
   // shard latch, then probe the SSD (shard latches released first: Probe
   // takes partition latches and needs no pool state).
   std::vector<std::pair<PageId, bool>> resident;
-  for (const auto& shard : pool.shards_) {
-    const auto& sh = *shard;
+  for (size_t si = 0; si < pool.shards_.size(); ++si) {
+    const auto& sh = *pool.shards_[si];
     TrackedLockGuard lock(sh.mu);
-    resident.reserve(resident.size() + sh.page_table.size());
-    for (const auto& [pid, frame] : sh.page_table) {
+    for (PageId pid = 0; pid < pool.page_table_.size(); ++pid) {
+      if (pool.ShardOf(pid) != si) continue;
+      const int32_t frame = pool.Slot(sh, pid);
+      if (frame < 0) continue;
       if (frame < sh.frame_begin || frame >= sh.frame_end) {
         continue;  // already reported by AuditBufferPool
       }
@@ -579,11 +595,8 @@ void AuditAccess::RebindPageTableEntry(BufferPool& pool, PageId pid,
                                        int32_t frame) {
   auto& sh = *pool.shards_[pool.ShardOf(pid)];
   TrackedLockGuard lock(sh.mu);
-  if (frame < 0) {
-    sh.page_table.erase(pid);
-  } else {
-    sh.page_table[pid] = frame;
-  }
+  if (pool.Slot(sh, pid) >= 0) pool.UnmapLocked(sh, pid);
+  if (frame >= 0) pool.MapLocked(sh, pid, frame);
 }
 
 void AuditAccess::SetFramePageId(BufferPool& pool, int32_t frame, PageId pid) {

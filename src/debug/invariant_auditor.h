@@ -112,7 +112,8 @@ struct AuditAccess {
                                          size_t partition);
   static std::atomic<int64_t>& DirtyFrames(SsdCacheBase& cache);
 
-  // Rewires pool.page_table_[pid] = frame (frame == -1 erases the entry).
+  // Rewires page pid's page-table entry to `frame` (-1 unmaps it), through
+  // the pool's own accessor, so the shard's mapped counter follows.
   static void RebindPageTableEntry(BufferPool& pool, PageId pid, int32_t frame);
   // Overwrites the frame's resident page id without touching the table.
   static void SetFramePageId(BufferPool& pool, int32_t frame, PageId pid);

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <utility>
 
 #include "common/rng.h"
@@ -60,7 +59,7 @@ struct CrashCapture {
   StripedDiskArray::Content disk;
   LogManager::CrashSnapshot log;
   bool has_ssd = false;
-  std::unordered_map<uint64_t, std::vector<uint8_t>> ssd;
+  MemDevice::Content ssd;
 };
 
 // Snapshots what a power cut at this instant would leave of `system`. Only

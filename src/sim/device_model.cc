@@ -1,6 +1,7 @@
 #include "sim/device_model.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/status.h"
 
@@ -106,11 +107,14 @@ DeviceTimeline::DeviceTimeline(DeviceModel* model, uint32_t page_bytes)
 Time DeviceTimeline::Schedule(const IoRequest& req, Time now,
                               Time* service_start) {
   const Time service = model_->ServiceTime(req);
+  const auto by_start = [](Time t, const std::pair<Time, Time>& iv) {
+    return t < iv.first;
+  };
   // Earliest idle interval at or after `now` that fits `service`.
   Time start = now;
-  auto it = busy_.upper_bound(start);
+  auto it = std::upper_bound(busy_.begin(), busy_.end(), start, by_start);
   if (it != busy_.begin()) {
-    auto prev = std::prev(it);
+    const auto prev = std::prev(it);
     if (prev->second > start) start = prev->second;
   }
   while (it != busy_.end() && it->first < start + service) {
@@ -119,22 +123,25 @@ Time DeviceTimeline::Schedule(const IoRequest& req, Time now,
   }
   const Time completion = start + service;
   if (service_start != nullptr) *service_start = start;
-  busy_.emplace(start, completion);
+  // Starts stay unique: an interval already booked at `start` is kept.
+  const auto at = std::lower_bound(
+      busy_.begin(), busy_.end(), start,
+      [](const std::pair<Time, Time>& iv, Time t) { return iv.first < t; });
+  if (at == busy_.end() || at->first != start) {
+    busy_.insert(at, {start, completion});
+  }
   free_at_ = std::max(free_at_, completion);
   busy_time_ += service;
-  // Bound the map: coalesce the oldest half pairwise once it grows large.
+  // Bound the vector: coalesce the oldest entries pairwise once it grows
+  // large (2048 -> 1024).
   if (busy_.size() > 2048) {
-    auto first = busy_.begin();
-    for (size_t i = 0; i < 1024 && std::next(first) != busy_.end(); ++i) {
-      auto second = std::next(first);
-      const Time s = first->first;
-      const Time e = std::max(first->second, second->second);
-      busy_.erase(first);
-      busy_.erase(second);
-      first = busy_.emplace(s, e).first;
-      if (std::next(first) == busy_.end()) break;
-      first = std::next(first);
+    const size_t pairs = std::min<size_t>(1024, busy_.size() / 2);
+    for (size_t i = 0; i < pairs; ++i) {
+      busy_[i] = {busy_[2 * i].first,
+                  std::max(busy_[2 * i].second, busy_[2 * i + 1].second)};
     }
+    busy_.erase(busy_.begin() + static_cast<std::ptrdiff_t>(pairs),
+                busy_.begin() + static_cast<std::ptrdiff_t>(2 * pairs));
   }
   const int64_t nbytes = static_cast<int64_t>(req.num_pages) * page_bytes_;
   if (req.op == IoOp::kRead) {
@@ -149,7 +156,7 @@ Time DeviceTimeline::Schedule(const IoRequest& req, Time now,
   // Without this, a device whose queue length nobody asks for (the log
   // device, the disk spindles) would keep one entry per request forever.
   DropCompleted(now);
-  pending_completions_.insert(completion);
+  pending_completions_.push(completion);
   return completion;
 }
 
@@ -159,8 +166,9 @@ int DeviceTimeline::QueueLength(Time now) {
 }
 
 void DeviceTimeline::DropCompleted(Time now) {
-  pending_completions_.erase(pending_completions_.begin(),
-                             pending_completions_.upper_bound(now));
+  while (!pending_completions_.empty() && pending_completions_.top() <= now) {
+    pending_completions_.pop();
+  }
 }
 
 void DeviceTimeline::Reset() {
@@ -169,7 +177,7 @@ void DeviceTimeline::Reset() {
   busy_time_ = 0;
   reads_ = writes_ = 0;
   read_bytes_ = write_bytes_ = 0;
-  pending_completions_.clear();
+  pending_completions_ = {};
   model_->Reset();
 }
 

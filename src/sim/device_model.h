@@ -2,9 +2,10 @@
 #define TURBOBP_SIM_DEVICE_MODEL_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <set>
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
@@ -149,19 +150,20 @@ class DeviceTimeline {
 
   DeviceModel* model_;
   uint32_t page_bytes_;
-  // Booked busy intervals, keyed by start time (non-overlapping). Old
-  // intervals are coalesced when the map grows, which only overstates
-  // contiguous busy spans (conservative).
-  std::map<Time, Time> busy_;
+  // Booked busy intervals [start, end), sorted by start (non-overlapping,
+  // starts unique). Old intervals are coalesced when the vector grows,
+  // which only overstates contiguous busy spans (conservative).
+  std::vector<std::pair<Time, Time>> busy_;
   Time free_at_ = 0;  // end of the latest booked interval
   Time busy_time_ = 0;
   int64_t reads_ = 0;
   int64_t writes_ = 0;
   int64_t read_bytes_ = 0;
   int64_t write_bytes_ = 0;
-  // Completion times of requests not yet seen to complete; QueueLength
-  // counts them.
-  std::multiset<Time> pending_completions_;
+  // Completion times of requests not yet seen to complete (earliest on
+  // top); QueueLength counts them.
+  std::priority_queue<Time, std::vector<Time>, std::greater<>>
+      pending_completions_;
   TimeSeries* read_traffic_ = nullptr;
   TimeSeries* write_traffic_ = nullptr;
 };

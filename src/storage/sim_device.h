@@ -2,9 +2,7 @@
 #define TURBOBP_STORAGE_SIM_DEVICE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "sim/device_model.h"
 #include "storage/mem_device.h"
@@ -49,17 +47,17 @@ class SimDevice : public StorageDevice {
     return timeline_;
   }
 
-  // Crash simulation (src/fault/crash_harness): snapshot/restore of the
-  // materialized medium content. The persistent SSD cache depends on this
-  // covering the *whole* device — frame area plus the metadata-journal
+  // Crash simulation (src/fault/crash_harness): copy-on-write snapshot and
+  // restore of the store's written chunks (MemDevice::SnapshotContent), so a
+  // capture costs one pointer per chunk. The persistent SSD cache depends on
+  // this covering the *whole* device — frame area plus the metadata-journal
   // region carved out at the tail — so a restored device replays exactly
-  // what a power cut left behind.
-  std::unordered_map<uint64_t, std::vector<uint8_t>> SnapshotContent() const {
+  // what a power cut left behind. An empty Content wipes the device.
+  MemDevice::Content SnapshotContent() const {
     return store_.SnapshotContent();
   }
-  void RestoreContent(
-      std::unordered_map<uint64_t, std::vector<uint8_t>> pages) {
-    store_.RestoreContent(std::move(pages));
+  void RestoreContent(MemDevice::Content content) {
+    store_.RestoreContent(std::move(content));
   }
 
  private:

@@ -2,7 +2,6 @@
 #define TURBOBP_STORAGE_STRIPED_ARRAY_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/device_model.h"
@@ -57,12 +56,13 @@ class StripedDiskArray : public StorageDevice {
   // the *logical* page id (callers think in logical pages).
   void SetSynthesizer(MemDevice::Synthesizer s);
 
-  // Crash simulation (src/fault/crash_harness): per-spindle materialized
-  // page maps — the exact bytes a power cut at this instant leaves on the
-  // platters. Restoring onto a fresh array of the same geometry rebuilds
-  // that durable state; the synthesizer still covers never-written pages.
+  // Crash simulation (src/fault/crash_harness): per-spindle copy-on-write
+  // snapshots of the written chunks (MemDevice::Content) — the exact bytes a
+  // power cut at this instant leaves on the platters. Restoring onto a
+  // fresh array of the same geometry rebuilds that durable state; the
+  // synthesizer still covers never-written pages.
   struct Content {
-    std::vector<std::unordered_map<uint64_t, std::vector<uint8_t>>> spindles;
+    std::vector<MemDevice::Content> spindles;
   };
   Content SnapshotContent() const;
   void RestoreContent(const Content& content);

@@ -196,12 +196,10 @@ size_t LogManager::TruncatePrefix(Lsn horizon) {
   }
   if (keep == 0) return 0;
   base_lsn_ = keep < records_.size() ? records_[keep].lsn : next_lsn_;
+  // erase() frees each dropped record's bytes and keeps the vector's
+  // capacity: it stays at the peak reached between checkpoints instead of
+  // regrowing by doubling after every one.
   records_.erase(records_.begin(), records_.begin() + keep);
-  // erase() keeps capacity; hand the dead prefix's memory back once it
-  // dominates (the point of truncating at all).
-  if (records_.capacity() > 2 * records_.size() + 64) {
-    records_.shrink_to_fit();
-  }
   records_truncated_ += static_cast<int64_t>(keep);
   return keep;
 }

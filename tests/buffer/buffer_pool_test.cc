@@ -270,6 +270,22 @@ TEST_F(BufferPoolDeathTest, CorruptDiskPagePanicsOnFetch) {
                "page checksum mismatch");
 }
 
+// The page table has one entry per disk page: a page id at or past the
+// disk's end panics FetchPage, NewPage and Contains in every build type
+// (TURBOBP_CHECK, not a debug-only check) instead of indexing past it.
+TEST_F(BufferPoolDeathTest, PageIdPastDiskEndPanics) {
+  const PageId end = disk_dev_->num_pages();
+  IoContext ctx;
+  EXPECT_DEATH(pool_->FetchPage(end, AccessKind::kRandom, ctx),
+               "pid < page_table_");
+  EXPECT_DEATH(pool_->NewPage(end + 7, PageType::kRaw, ctx),
+               "pid < page_table_");
+  EXPECT_DEATH(pool_->Contains(kInvalidPageId), "pid < page_table_");
+  // The last page is in range.
+  { PageGuard g = pool_->FetchPage(end - 1, AccessKind::kRandom, ctx); }
+  EXPECT_TRUE(pool_->Contains(end - 1));
+}
+
 // The SSD verifies each hit once, where it reads the frame, and the pool
 // trusts that check. Detection must survive: a corrupt SSD frame is
 // quarantined and the disk copy served, or, when the frame held the only

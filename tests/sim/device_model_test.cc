@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <set>
+
 #include "common/rng.h"
 #include "storage/sim_device.h"
 #include "storage/striped_array.h"
@@ -198,6 +204,149 @@ TEST(DeviceTimelineTest, ResetClearsState) {
   EXPECT_EQ(tl.busy_time(), 0);
   EXPECT_EQ(tl.num_requests(IoOp::kRead), 0);
   EXPECT_EQ(tl.QueueLength(0), 0);
+}
+
+// The node-based schedule DeviceTimeline replaced (std::map of busy
+// intervals, std::multiset of completions), kept as the reference the flat
+// vector/heap version must match call for call.
+class ReferenceTimeline {
+ public:
+  explicit ReferenceTimeline(DeviceModel* model) : model_(model) {}
+
+  Time Schedule(const IoRequest& req, Time now, Time* service_start) {
+    const Time service = model_->ServiceTime(req);
+    Time start = now;
+    auto it = busy_.upper_bound(start);
+    if (it != busy_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->second > start) start = prev->second;
+    }
+    while (it != busy_.end() && it->first < start + service) {
+      start = std::max(start, it->second);
+      ++it;
+    }
+    const Time completion = start + service;
+    *service_start = start;
+    busy_.emplace(start, completion);
+    free_at_ = std::max(free_at_, completion);
+    busy_time_ += service;
+    if (busy_.size() > 2048) {
+      auto first = busy_.begin();
+      for (size_t i = 0; i < 1024 && std::next(first) != busy_.end(); ++i) {
+        auto second = std::next(first);
+        const Time s = first->first;
+        const Time e = std::max(first->second, second->second);
+        busy_.erase(first);
+        busy_.erase(second);
+        first = busy_.emplace(s, e).first;
+        if (std::next(first) == busy_.end()) break;
+        first = std::next(first);
+      }
+    }
+    pending_.erase(pending_.begin(), pending_.upper_bound(now));
+    pending_.insert(completion);
+    return completion;
+  }
+
+  int QueueLength(Time now) {
+    pending_.erase(pending_.begin(), pending_.upper_bound(now));
+    return static_cast<int>(pending_.size());
+  }
+
+  Time busy_time() const { return busy_time_; }
+  Time free_at() const { return free_at_; }
+  size_t intervals() const { return busy_.size(); }
+
+ private:
+  DeviceModel* model_;
+  std::map<Time, Time> busy_;
+  std::multiset<Time> pending_;
+  Time free_at_ = 0;
+  Time busy_time_ = 0;
+};
+
+// Service times drawn from a seeded stream, a fifth of them zero: a
+// zero-length booking at an instant where another interval starts is the
+// only way two bookings share a start key.
+class RandomServiceModel : public DeviceModel {
+ public:
+  explicit RandomServiceModel(uint64_t seed) : rng_(seed) {}
+  Time ServiceTime(const IoRequest&) override {
+    return rng_.Bernoulli(0.2) ? 0 : rng_.UniformRange(1, Micros(900));
+  }
+  Time EstimateReadTime(AccessKind) const override { return Micros(100); }
+  void Reset() override {}
+
+ private:
+  Rng rng_;
+};
+
+// Drives a DeviceTimeline and the reference with one seeded request
+// stream (two model instances built alike, since models keep positioning
+// state) and requires identical answers after every call. Arrivals mostly
+// advance, sometimes jump back (out-of-order `now`), and come in bursts at
+// one instant; 12,000 requests keep more than 2048 intervals live, so
+// coalescing runs several times. Returns how many bookings found their
+// start key taken (the reference's emplace was a no-op).
+int ExpectSameSchedule(DeviceModel* flat_model, DeviceModel* ref_model,
+                       uint64_t seed) {
+  DeviceTimeline flat(flat_model, 8192);
+  ReferenceTimeline ref(ref_model);
+  Rng rng(seed);
+  Time now = 0;
+  int coalesced = 0;
+  int equal_starts = 0;
+  for (int i = 0; i < 12000; ++i) {
+    const uint64_t dice = rng.Uniform(100);
+    if (dice < 10) {
+      now = std::max<Time>(0, now - rng.UniformRange(0, Millis(50)));
+    } else if (dice < 70) {
+      now += rng.UniformRange(0, Micros(400));
+    }  // else: a burst at the same instant
+    IoRequest req;
+    req.op = rng.Bernoulli(0.5) ? IoOp::kRead : IoOp::kWrite;
+    // Short offsets so HDD streams and SSD sequential runs recur.
+    req.page_offset = rng.Bernoulli(0.3) ? rng.Uniform(1 << 20) : i % 64;
+    req.num_pages = static_cast<uint32_t>(rng.UniformRange(1, 8));
+    Time flat_start = -1;
+    Time ref_start = -1;
+    const size_t before = ref.intervals();
+    const Time flat_done = flat.Schedule(req, now, &flat_start);
+    const Time ref_done = ref.Schedule(req, now, &ref_start);
+    if (ref.intervals() < before) ++coalesced;
+    if (ref.intervals() == before) ++equal_starts;
+    EXPECT_EQ(flat_done, ref_done) << "request " << i;
+    EXPECT_EQ(flat_start, ref_start) << "request " << i;
+    const Time probe = rng.Bernoulli(0.2) ? now - Millis(1) : now;
+    EXPECT_EQ(flat.QueueLength(probe), ref.QueueLength(probe))
+        << "request " << i;
+    EXPECT_EQ(flat.busy_time(), ref.busy_time()) << "request " << i;
+    EXPECT_EQ(flat.free_at(), ref.free_at()) << "request " << i;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_GE(coalesced, 5);
+  return equal_starts;
+}
+
+TEST(DeviceTimelineTest, MatchesReferenceScheduleHdd) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    HddModel a, b;
+    ExpectSameSchedule(&a, &b, seed);
+  }
+}
+
+TEST(DeviceTimelineTest, MatchesReferenceScheduleSsd) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SsdModel a, b;
+    ExpectSameSchedule(&a, &b, seed);
+  }
+}
+
+TEST(DeviceTimelineTest, MatchesReferenceScheduleWithEqualStarts) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    RandomServiceModel a(seed * 7), b(seed * 7);
+    EXPECT_GT(ExpectSameSchedule(&a, &b, seed), 0);
+  }
 }
 
 }  // namespace
