@@ -125,7 +125,7 @@ RecoveryStats DbSystem::Recover(IoContext& ctx,
     // Per-page highest durable update LSN: proves whether a recovered frame
     // is still the newest version of its page (in-memory log scan, no I/O).
     std::unordered_map<PageId, Lsn> max_update_lsn;
-    for (const LogRecord& rec : log_.records_for_recovery()) {
+    for (const LogRecordView rec : log_.records_for_recovery()) {
       if (!log_.IsDurable(rec.lsn)) break;
       if (rec.type != LogRecordType::kUpdate) continue;
       Lsn& maxl = max_update_lsn[rec.page_id];

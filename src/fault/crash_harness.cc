@@ -419,24 +419,27 @@ RecoveredDb MakeRestoredSystem(const CrashHarnessOptions& o,
     out.system->ssd_device()->RestoreContent(cap.ssd);
   }
 
-  std::vector<LogRecord> records;
+  // The log device holds the durable prefix; the copy shares the capture's
+  // segments, and only the segment a torn flip lands in is cloned.
+  LogBuffer log = cap.log.records;
   Lsn durable = cap.log.durable_lsn;
-  for (const LogRecord& rec : cap.log.records) {
-    if (rec.lsn <= cap.log.durable_lsn) {
-      records.push_back(rec);
-    } else if (restart.torn_log_tail && !out.torn_injected) {
-      LogRecord bad = rec;  // keeps the now-stale checksum
-      if (!bad.bytes.empty()) {
-        bad.bytes[0] = static_cast<uint8_t>(bad.bytes[0] ^ 0xFF);
-      } else {
-        bad.txn_id = ~bad.txn_id;
-      }
-      durable = bad.lsn;
-      records.push_back(std::move(bad));
+  Lsn end = log.end_lsn();
+  for (const LogRecordView rec : log) {
+    if (rec.lsn <= durable) continue;
+    end = rec.lsn;
+    if (restart.torn_log_tail) {
+      // The first non-durable record's block reached the medium with one
+      // byte wrong, header or payload, picked per scenario.
+      Rng rng(o.seed * 7919 + static_cast<uint64_t>(o.design) + rec.lsn);
+      end = rec.lsn + rec.SizeOnDisk();
+      log.FlipByte(rec.lsn + rng.Uniform(rec.SizeOnDisk()), 0xFF);
+      durable = rec.lsn;
       out.torn_injected = true;
     }
+    break;
   }
-  out.system->log().RestoreDurableState(std::move(records), durable);
+  log.CutTail(end);
+  out.system->log().RestoreDurableState(std::move(log), durable);
   if (cap.has_ssd && out.system->ssd_device() != nullptr) {
     out.ssd_fault_armed = ApplyRestartFault(out.system.get(), o, restart.ssd);
   }

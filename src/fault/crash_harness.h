@@ -34,9 +34,10 @@ inline constexpr SsdRestartFault kAllSsdRestartFaults[] = {
 const char* ToString(SsdRestartFault fault);
 
 // What a restart finds after a power cut: the WAL's durable prefix, plus
-// (torn_log_tail) the first non-durable record materialized with a
-// corrupted body and a stale checksum — the partially-written block an
-// interrupted log flush leaves behind — and, under the persistent cache,
+// (torn_log_tail) the first non-durable record materialized with one byte
+// of its serialized form (header or payload, picked by a seeded Rng)
+// flipped — the partially-written block an interrupted log flush leaves
+// behind — and, under the persistent cache,
 // the SSD image damaged per `ssd`. Without the persistent cache the SSD is
 // reformatted at restart, so `ssd` must stay kClean.
 struct Restart {

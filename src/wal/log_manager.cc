@@ -1,36 +1,16 @@
 #include "wal/log_manager.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/checksum.h"
 #include "common/status.h"
 #include "fault/crash_point.h"
 
 namespace turbobp {
 
-uint32_t LogRecord::ComputeChecksum() const {
-  // The header fields packed in order, with no padding, then the payload:
-  // two CRC passes instead of one call per field, over the same bytes.
-  const uint8_t type_byte = static_cast<uint8_t>(type);
-  uint8_t header[sizeof(lsn) + sizeof(type_byte) + sizeof(txn_id) +
-                 sizeof(page_id) + sizeof(offset)];
-  size_t at = 0;
-  auto put = [&](const void* field, size_t size) {
-    std::memcpy(header + at, field, size);
-    at += size;
-  };
-  put(&lsn, sizeof(lsn));
-  put(&type_byte, sizeof(type_byte));
-  put(&txn_id, sizeof(txn_id));
-  put(&page_id, sizeof(page_id));
-  put(&offset, sizeof(offset));
-  return Crc32c(bytes.data(), bytes.size(), Crc32c(header, sizeof(header)));
-}
-
 namespace {
-// Log pages carry no recoverable content in this model (records_ is the
-// oracle); flushes write zeros of the right size to charge the device.
+// Log pages carry no recoverable content in this model (the in-memory
+// LogBuffer is the oracle); flushes write zeros of the right size to charge
+// the device.
 std::span<const uint8_t> ZeroPages(size_t need) {
   static thread_local std::vector<uint8_t> zeros;
   if (zeros.size() < need) zeros.assign(need, 0);
@@ -38,52 +18,44 @@ std::span<const uint8_t> ZeroPages(size_t need) {
 }
 }  // namespace
 
-LogManager::LogManager(StorageDevice* log_device) : device_(log_device) {
+LogManager::LogManager(StorageDevice* log_device)
+    : device_(log_device),
+      max_payload_(log_device != nullptr ? log_device->page_bytes() : 0) {
   TURBOBP_CHECK(log_device != nullptr);
 }
 
-Lsn LogManager::Append(LogRecord rec) {
+Lsn LogManager::Append(LogRecordType type, uint64_t txn_id, PageId pid,
+                       uint32_t offset, std::span<const uint8_t> payload) {
   TrackedLockGuard lock(mu_);
-  rec.lsn = next_lsn_;
-  rec.SealChecksum();
-  next_lsn_ += rec.SizeOnDisk();
-  last_record_lsn_ = rec.lsn;
-  records_.push_back(std::move(rec));
+  const Lsn lsn = next_lsn_;
+  buf_.Append(lsn, type, txn_id, pid, offset, payload);
+  next_lsn_ += kLogHeaderBytes + payload.size();
+  last_record_lsn_ = lsn;
   ++logical_records_;
+  ++retained_records_;
   // The record exists in the log buffer but is not durable yet: a crash
   // here loses it (and everything after it) unless a later flush lands.
   TURBOBP_CRASH_POINT("wal/append");
-  return records_.back().lsn;
+  return lsn;
 }
 
 Lsn LogManager::AppendUpdate(uint64_t txn_id, PageId pid, uint32_t offset,
                              std::span<const uint8_t> bytes) {
-  LogRecord rec;
-  rec.type = LogRecordType::kUpdate;
-  rec.txn_id = txn_id;
-  rec.page_id = pid;
-  rec.offset = offset;
-  rec.bytes.assign(bytes.begin(), bytes.end());
-  return Append(std::move(rec));
+  // The after-image lies within one page, as TruncateTornTail checks.
+  TURBOBP_CHECK(uint64_t{offset} + bytes.size() <= max_payload_);
+  return Append(LogRecordType::kUpdate, txn_id, pid, offset, bytes);
 }
 
 Lsn LogManager::AppendCommit(uint64_t txn_id) {
-  LogRecord rec;
-  rec.type = LogRecordType::kCommit;
-  rec.txn_id = txn_id;
-  return Append(std::move(rec));
+  return Append(LogRecordType::kCommit, txn_id, kInvalidPageId, 0, {});
 }
 
 Lsn LogManager::AppendBeginCheckpoint() {
-  LogRecord rec;
-  rec.type = LogRecordType::kBeginCheckpoint;
-  return Append(std::move(rec));
+  return Append(LogRecordType::kBeginCheckpoint, 0, kInvalidPageId, 0, {});
 }
 
 Lsn LogManager::AppendEndCheckpoint() {
-  LogRecord rec;
-  rec.type = LogRecordType::kEndCheckpoint;
-  return Append(std::move(rec));
+  return Append(LogRecordType::kEndCheckpoint, 0, kInvalidPageId, 0, {});
 }
 
 void LogManager::StageDeviceWrite(Lsn target, uint64_t* first,
@@ -112,8 +84,7 @@ void LogManager::StageDeviceWrite(Lsn target, uint64_t* first,
 Time LogManager::FlushTo(Lsn lsn, IoContext& ctx)
     TURBOBP_NO_THREAD_SAFETY_ANALYSIS {
   std::unique_lock<TrackedMutex<LatchClass::kWal>> lock(mu_);
-  // Clamp to the last appended record (the historical records_.back()
-  // clamp, robust to prefix truncation).
+  // Clamp to the last appended record (robust to prefix truncation).
   lsn = std::min(lsn, last_record_lsn_);
   if (lsn <= durable_lsn_) return ctx.now;
 
@@ -184,83 +155,94 @@ void LogManager::CommitForce(IoContext& ctx) {
   ctx.Wait(completion);
 }
 
+std::vector<LogRecord> LogManager::records_snapshot() const {
+  TrackedLockGuard lock(mu_);
+  std::vector<LogRecord> out;
+  out.reserve(retained_records_);
+  for (const LogRecordView rec : buf_) out.push_back(rec.ToRecord());
+  return out;
+}
+
 size_t LogManager::TruncatePrefix(Lsn horizon) {
   TrackedLockGuard lock(mu_);
   // Only records that are both durable and below the redo horizon may go:
   // recovery replays from the last completed checkpoint's begin record, and
-  // DropUnflushed must still be able to pop the undurable tail.
-  size_t keep = 0;
-  while (keep < records_.size() && records_[keep].lsn < horizon &&
-         records_[keep].lsn <= durable_lsn_) {
-    ++keep;
+  // DropUnflushed must still be able to cut the undurable tail.
+  size_t dropped = 0;
+  auto it = buf_.begin();
+  while (it != buf_.end() && it.lsn() < horizon && it.lsn() <= durable_lsn_) {
+    ++it;
+    ++dropped;
   }
-  if (keep == 0) return 0;
-  base_lsn_ = keep < records_.size() ? records_[keep].lsn : next_lsn_;
-  // erase() frees each dropped record's bytes and keeps the vector's
-  // capacity: it stays at the peak reached between checkpoints instead of
-  // regrowing by doubling after every one.
-  records_.erase(records_.begin(), records_.begin() + keep);
-  records_truncated_ += static_cast<int64_t>(keep);
-  return keep;
+  if (dropped == 0) return 0;
+  buf_.DropHead(it != buf_.end() ? it.lsn() : next_lsn_);
+  retained_records_ -= dropped;
+  records_truncated_ += static_cast<int64_t>(dropped);
+  return dropped;
 }
 
 size_t LogManager::DropUnflushed() {
   TrackedLockGuard lock(mu_);
-  size_t dropped = 0;
-  while (!records_.empty() && records_.back().lsn > durable_lsn_) {
-    records_.pop_back();
-    ++dropped;
+  // Everything after the record durable_lsn_ starts is lost; when that
+  // record was truncated, every retained record is past it.
+  auto cut = buf_.begin();
+  if (cut != buf_.end() && cut.lsn() <= durable_lsn_) {
+    cut = buf_.At(durable_lsn_);
+    ++cut;
   }
+  size_t dropped = 0;
+  for (auto it = cut; it != buf_.end(); ++it) ++dropped;
+  if (dropped > 0) buf_.CutTail(cut.lsn());
+  retained_records_ -= dropped;
   logical_records_ -= static_cast<int64_t>(dropped);
-  last_record_lsn_ = records_.empty() ? (base_lsn_ > 1 ? base_lsn_ - 1 : 0)
-                                      : records_.back().lsn;
+  last_record_lsn_ = LastRecordOr(buf_.empty() ? kInvalidLsn : durable_lsn_);
   return dropped;
 }
 
 size_t LogManager::TruncateTornTail() {
   TrackedLockGuard lock(mu_);
-  size_t bad = records_.size();
-  for (size_t i = 0; i < records_.size(); ++i) {
-    if (records_[i].lsn > durable_lsn_) {
-      // Past the durable prefix: a crash already discards these (see
-      // DropUnflushed); truncate here too so replay sees one clean prefix.
-      bad = i;
-      break;
-    }
-    if (!records_[i].VerifyChecksum()) {
-      bad = i;
-      break;
-    }
+  // Records past the durable prefix never reached the device: a crash
+  // already discards them (see DropUnflushed); truncate here too so replay
+  // sees one clean prefix.
+  size_t intact = 0;
+  Lsn last = kInvalidLsn;
+  auto it = buf_.begin();
+  for (; it != buf_.end(); ++it) {
+    if (it.lsn() > durable_lsn_ || !buf_.Verify(it, max_payload_)) break;
+    ++intact;
+    last = it.lsn();
   }
-  if (bad == records_.size()) return 0;
-  const size_t dropped = records_.size() - bad;
+  if (it == buf_.end()) return 0;
+  const size_t dropped = retained_records_ - intact;
   // Durability retreats to the last intact record — but no further than the
   // truncated prefix boundary, which is durable by construction.
-  const Lsn new_durable =
-      bad == 0 ? (base_lsn_ > 1 ? base_lsn_ - 1 : Lsn{0}) : records_[bad - 1].lsn;
-  next_lsn_ = records_[bad].lsn;  // reclaim the torn record's LSN space
-  records_.resize(bad);
+  const Lsn new_durable = LastRecordOr(last);
+  next_lsn_ = it.lsn();  // reclaim the torn record's LSN space
+  buf_.CutTail(next_lsn_);
+  retained_records_ = intact;
   logical_records_ -= static_cast<int64_t>(dropped);
-  last_record_lsn_ = records_.empty() ? (base_lsn_ > 1 ? base_lsn_ - 1 : 0)
-                                      : records_.back().lsn;
+  last_record_lsn_ = new_durable;
   durable_lsn_ = std::min(durable_lsn_, new_durable);
   TURBOBP_CRASH_POINT("wal/truncate-tail");
   return dropped;
 }
 
-void LogManager::RestoreDurableState(std::vector<LogRecord> records,
-                                     Lsn durable_lsn) {
+void LogManager::RestoreDurableState(LogBuffer records, Lsn durable_lsn) {
   TrackedLockGuard lock(mu_);
-  records_ = std::move(records);
+  buf_ = std::move(records);
   durable_lsn_ = durable_lsn;
-  next_lsn_ = records_.empty()
-                  ? Lsn{1}
-                  : records_.back().lsn + records_.back().SizeOnDisk();
-  logical_records_ = static_cast<int64_t>(records_.size());
-  last_record_lsn_ = records_.empty() ? Lsn{0} : records_.back().lsn;
-  // If the snapshot was itself a truncated suffix, everything below its
-  // first record was durable before the crash.
-  base_lsn_ = records_.empty() ? Lsn{1} : records_.front().lsn;
+  next_lsn_ = buf_.end_lsn();
+  // Count by the length fields (the iteration stays inside the segments
+  // even where a damaged length points elsewhere); TruncateTornTail
+  // verifies the records.
+  retained_records_ = 0;
+  Lsn last = kInvalidLsn;
+  for (auto it = buf_.begin(); it != buf_.end(); ++it) {
+    ++retained_records_;
+    last = it.lsn();
+  }
+  logical_records_ = static_cast<int64_t>(retained_records_);
+  last_record_lsn_ = LastRecordOr(last);
 }
 
 }  // namespace turbobp

@@ -10,40 +10,9 @@
 #include "debug/latch_order_checker.h"
 #include "storage/io_context.h"
 #include "storage/storage_device.h"
+#include "wal/log_buffer.h"
 
 namespace turbobp {
-
-enum class LogRecordType : uint8_t {
-  kUpdate = 0,      // physical redo: bytes at (page_id, offset)
-  kCommit = 1,
-  kBeginCheckpoint = 2,
-  kEndCheckpoint = 3,
-};
-
-// Physiological redo record. Updates carry the after-image bytes of the
-// modified byte range (page splits log whole-page images), which is all a
-// redo-only recovery pass needs; the workloads in this repo never roll back,
-// so no undo information is kept (documented in DESIGN.md).
-struct LogRecord {
-  Lsn lsn = kInvalidLsn;
-  LogRecordType type = LogRecordType::kUpdate;
-  uint64_t txn_id = 0;
-  PageId page_id = kInvalidPageId;
-  uint32_t offset = 0;
-  // CRC32-C over every other field, sealed at append time. A record in the
-  // durable prefix whose stored checksum no longer matches its content is a
-  // torn tail block: replay truncates the log there instead of applying
-  // (or asserting on) garbage.
-  uint32_t checksum = 0;
-  std::vector<uint8_t> bytes;
-
-  // 32-byte header + 4-byte checksum + after-image payload.
-  size_t SizeOnDisk() const { return 36 + bytes.size(); }
-
-  uint32_t ComputeChecksum() const;
-  void SealChecksum() { checksum = ComputeChecksum(); }
-  bool VerifyChecksum() const { return checksum == ComputeChecksum(); }
-};
 
 // Write-ahead log over a dedicated log device (the paper's setup uses one
 // HDD exclusively for the DBMS log). Appends are buffered; FlushTo() forces
@@ -112,23 +81,19 @@ class LogManager {
 
   // --- record access ---------------------------------------------------------
 
-  // Point-in-time copy of the buffered records, taken under mu_. Safe to
-  // call while other threads append; this is the accessor every
-  // steady-state caller must use.
-  std::vector<LogRecord> records_snapshot() const TURBOBP_EXCLUDES(mu_) {
-    TrackedLockGuard lock(mu_);
-    return records_;
-  }
+  // Point-in-time decoded copy of the buffered records, taken under mu_.
+  // Safe to call while other threads append; tests use it to read the log.
+  std::vector<LogRecord> records_snapshot() const TURBOBP_EXCLUDES(mu_);
 
-  // Latch-free reference into the live record buffer — the documented
+  // Latch-free reference to the live record buffer — the documented
   // single-threaded fast path for recovery and the crash harness, both of
   // which run while no client executes (recovery replays before the system
   // opens; the harness observes from inside a crash point). Iterating this
   // while another thread appends is a data race; concurrent callers use
-  // records_snapshot(). The structural checker audits the call sites.
-  const std::vector<LogRecord>& records_for_recovery() const
+  // records_snapshot().
+  const LogBuffer& records_for_recovery() const
       TURBOBP_NO_THREAD_SAFETY_ANALYSIS {
-    return records_;
+    return buf_;
   }
 
   // --- in-memory tail bounding ----------------------------------------------
@@ -137,14 +102,16 @@ class LogManager {
   // below `horizon` (the redo horizon of the last completed checkpoint:
   // recovery never reads below it, so the buffered copies are dead weight a
   // long-running threaded soak would otherwise accumulate without bound).
-  // Returns the number of records dropped. LSNs, durability and
-  // num_records() are unaffected — only buffered copies are released.
+  // The head cursor moves record by record; whole segments behind it are
+  // released for reuse. Returns the number of records dropped. LSNs,
+  // durability and num_records() are unaffected — only buffered copies
+  // are released.
   size_t TruncatePrefix(Lsn horizon) TURBOBP_EXCLUDES(mu_);
 
   // Records currently buffered in memory (bounded-memory assertions).
   size_t retained_records() const TURBOBP_EXCLUDES(mu_) {
     TrackedLockGuard lock(mu_);
-    return records_.size();
+    return retained_records_;
   }
   int64_t records_truncated() const TURBOBP_EXCLUDES(mu_) {
     TrackedLockGuard lock(mu_);
@@ -153,40 +120,48 @@ class LogManager {
 
   // Simulates a crash: discards records that were never forced to the log
   // device. Returns the number of records lost.
-  size_t DropUnflushed();
+  size_t DropUnflushed() TURBOBP_EXCLUDES(mu_);
 
-  // Torn-tail hardening (replay path): verifies the per-record checksum of
-  // every record in the durable prefix, in order, and truncates the log at
-  // the first bad record — that record and everything after it are dropped,
-  // the durable LSN retreats to the last intact record, and new appends
-  // reuse the reclaimed LSN space. A torn final log block is thereby
-  // *recovered from* instead of asserted on. Idempotent; returns the number
-  // of records dropped (0 on a clean log).
-  size_t TruncateTornTail();
+  // Torn-tail hardening (replay path): parses and verifies every record of
+  // the durable prefix, in order (LogBuffer::Verify against the log
+  // device's page size), and truncates the log at the first bad record —
+  // that record and everything after it are dropped, the durable LSN
+  // retreats to the last intact record, and new appends reuse the reclaimed
+  // LSN space. A torn final log block is thereby *recovered from* instead of
+  // asserted on. Idempotent; returns the number of records dropped (0 on a
+  // clean log).
+  size_t TruncateTornTail() TURBOBP_EXCLUDES(mu_);
 
   // --- crash-harness interface (src/fault/crash_harness) --------------------
 
-  // The durable-at-this-instant view of the log. Taken WITHOUT the WAL
+  // The log as a power cut at this instant leaves it. Taken WITHOUT the WAL
   // latch: crash points inside the flush path fire while mu_ may be held,
   // so the observer cannot use the locking accessors. The simulation is
-  // single-threaded per system; the harness is the only caller.
+  // single-threaded per system; the harness is the only caller. The
+  // snapshot shares the log's segments copy-on-write.
   struct CrashSnapshot {
-    std::vector<LogRecord> records;
+    LogBuffer records;
     Lsn durable_lsn = 0;
-    Lsn next_lsn = 1;
   };
   CrashSnapshot SnapshotForCrash() const TURBOBP_NO_THREAD_SAFETY_ANALYSIS {
-    return CrashSnapshot{records_, durable_lsn_, next_lsn_};
+    return CrashSnapshot{buf_, durable_lsn_};
   }
 
-  // Rebuilds a fresh LogManager's state from a crash snapshot, as if the
-  // records were read back from the log device at restart. The caller may
-  // have corrupted a record body (keeping its stale checksum) to model a
-  // torn tail block; TruncateTornTail() then prunes it during replay.
-  void RestoreDurableState(std::vector<LogRecord> records, Lsn durable_lsn);
+  // Rebuilds a fresh LogManager's state from records read back from the
+  // log device at restart. The caller may have damaged bytes of the records
+  // (a torn tail block); TruncateTornTail() then prunes them during replay.
+  void RestoreDurableState(LogBuffer records, Lsn durable_lsn)
+      TURBOBP_EXCLUDES(mu_);
 
  private:
-  Lsn Append(LogRecord rec) TURBOBP_EXCLUDES(mu_);
+  Lsn Append(LogRecordType type, uint64_t txn_id, PageId pid, uint32_t offset,
+             std::span<const uint8_t> payload) TURBOBP_EXCLUDES(mu_);
+  // last_record_lsn_ of a log whose newest retained record starts at
+  // `last` (kInvalidLsn when none is retained).
+  Lsn LastRecordOr(Lsn last) const TURBOBP_REQUIRES(mu_) {
+    return last != kInvalidLsn ? last
+                               : (buf_.head() > 1 ? buf_.head() - 1 : 0);
+  }
   // Computes the device extent covering [durable_lsn_, target] and advances
   // the sequential log-device cursor.
   void StageDeviceWrite(Lsn target, uint64_t* first, uint32_t* npages)
@@ -198,21 +173,24 @@ class LogManager {
   // the group-commit leader drops mu_ for the batched log-device write.
   mutable TrackedMutex<LatchClass::kWal> mu_;
   StorageDevice* device_;
-  std::vector<LogRecord> records_ TURBOBP_GUARDED_BY(mu_);
+  // Largest update payload a record may carry: the log device's page size
+  // (an update's after-image lies within one page).
+  const uint32_t max_payload_;
+  // The serialized records. Its head cursor is the first retained LSN:
+  // records below it were truncated (all durable), and TruncateTornTail
+  // retreats durability no further than it.
+  LogBuffer buf_ TURBOBP_GUARDED_BY(mu_);
   Lsn next_lsn_ TURBOBP_GUARDED_BY(mu_) = 1;  // byte-offset LSN; 0 invalid
   Lsn durable_lsn_ TURBOBP_GUARDED_BY(mu_) = 0;
   // Start LSN of the last appended record (survives prefix truncation;
-  // FlushTo clamps against it the way it used to clamp against
-  // records_.back()).
+  // FlushTo clamps against it).
   Lsn last_record_lsn_ TURBOBP_GUARDED_BY(mu_) = 0;
-  // First retained LSN: records with lsn < base_lsn_ were truncated (all
-  // durable). TruncateTornTail retreats durability no further than this.
-  Lsn base_lsn_ TURBOBP_GUARDED_BY(mu_) = 1;
   // Wraps around the log device.
   uint64_t device_offset_pages_ TURBOBP_GUARDED_BY(mu_) = 0;
   int64_t flushes_ TURBOBP_GUARDED_BY(mu_) = 0;
   int64_t logical_records_ TURBOBP_GUARDED_BY(mu_) = 0;
   int64_t records_truncated_ TURBOBP_GUARDED_BY(mu_) = 0;
+  size_t retained_records_ TURBOBP_GUARDED_BY(mu_) = 0;
   int64_t flush_waits_ TURBOBP_GUARDED_BY(mu_) = 0;
 
   // Group-commit protocol state. flush_in_flight_ is true while a leader

@@ -17,21 +17,22 @@ RecoveryManager::RecoveryManager(DiskManager* disk, LogManager* log)
 }
 
 Lsn RecoveryManager::FindRedoStart() const {
-  // Scan backwards for the latest begin-checkpoint whose end record is
-  // durable: everything before it is already on disk (sharp checkpoints).
+  // The latest begin-checkpoint whose end record is durable: everything
+  // before it is already on disk (sharp checkpoints). One forward pass: each
+  // durable end record confirms the begin record seen last before it.
   // records_for_recovery(): recovery runs before the system opens, with no
   // concurrent appenders (the documented latch-free fast path).
-  const auto& records = log_->records_for_recovery();
-  bool saw_end = false;
-  for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    if (!log_->IsDurable(it->lsn)) continue;
-    if (it->type == LogRecordType::kEndCheckpoint) {
-      saw_end = true;
-    } else if (it->type == LogRecordType::kBeginCheckpoint && saw_end) {
-      return it->lsn;
+  Lsn last_begin = kInvalidLsn;
+  Lsn redo_start = kInvalidLsn;
+  for (const LogRecordView rec : log_->records_for_recovery()) {
+    if (!log_->IsDurable(rec.lsn)) break;
+    if (rec.type == LogRecordType::kBeginCheckpoint) {
+      last_begin = rec.lsn;
+    } else if (rec.type == LogRecordType::kEndCheckpoint) {
+      if (last_begin != kInvalidLsn) redo_start = last_begin;
     }
   }
-  return kInvalidLsn;
+  return redo_start;
 }
 
 RecoveryStats RecoveryManager::Recover(
@@ -61,8 +62,8 @@ RecoveryStats RecoveryManager::Recover(
   // Filter pass (pure, no I/O): decide which records will enter redo and do
   // the scan bookkeeping. Separating it from the apply pass lets the
   // prefetch below see each window's page set up front.
-  std::vector<const LogRecord*> todo;
-  for (const LogRecord& rec : log_->records_for_recovery()) {
+  std::vector<LogRecordView> todo;
+  for (const LogRecordView rec : log_->records_for_recovery()) {
     if (!log_->IsDurable(rec.lsn)) break;  // torn tail: stop at first gap
     if (stats.redo_start_lsn != kInvalidLsn && rec.lsn < stats.redo_start_lsn) {
       continue;
@@ -79,14 +80,14 @@ RecoveryStats RecoveryManager::Recover(
         continue;
       }
     }
-    todo.push_back(&rec);
+    todo.push_back(rec);
   }
 
   // Applies one record to the page image in `buf` and, if the redo test
   // passes, writes it back synchronously (the "recovery/redo-apply"
   // idempotence edge requires every applied record to be durable before the
   // next one).
-  auto apply = [&](const LogRecord& rec, std::span<uint8_t> buf) {
+  auto apply = [&](const LogRecordView& rec, std::span<uint8_t> buf) {
     PageView v(buf.data(), page_bytes);
     // Redo test: apply only if the on-disk page has not seen this update.
     if (v.header().page_id == rec.page_id && v.header().lsn >= rec.lsn) {
@@ -124,7 +125,7 @@ RecoveryStats RecoveryManager::Recover(
     std::vector<PageId> pids;
     size_t j = i;
     while (j < todo.size()) {
-      const PageId pid = todo[j]->page_id;
+      const PageId pid = todo[j].page_id;
       if (!cache.contains(pid)) {
         if (pids.size() == window) break;
         cache.emplace(pid, std::vector<uint8_t>(page_bytes));
@@ -145,7 +146,7 @@ RecoveryStats RecoveryManager::Recover(
     }
     ctx.Wait(engine.Drain(ctx));
     stats.pages_read += static_cast<int64_t>(pids.size());
-    for (; i < j; ++i) apply(*todo[i], cache[todo[i]->page_id]);
+    for (; i < j; ++i) apply(todo[i], cache[todo[i].page_id]);
   }
   stats.elapsed = ctx.now - start;
   return stats;

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "storage/mem_device.h"
 #include "storage/sim_device.h"
 
 namespace turbobp {
@@ -175,16 +177,182 @@ TEST_F(LogManagerTest, TruncateTornTailDropsCorruptRecordAndSuffix) {
   log_.FlushTo(log_.current_lsn(), ctx);
   // Model a torn log block: record 2's body was only partially written but
   // the device acked the flush, so its stored checksum is stale.
-  std::vector<LogRecord> records = log_.records_snapshot();
-  records[2].bytes[0] = static_cast<uint8_t>(records[2].bytes[0] ^ 0xFF);
-  const Lsn torn_lsn = records[2].lsn;
+  LogManager::CrashSnapshot snap = log_.SnapshotForCrash();
+  const Lsn torn_lsn = log_.records_snapshot()[2].lsn;
+  snap.records.FlipByte(torn_lsn + kLogHeaderBytes, 0xFF);
   LogManager replay(&dev_);  // a restart reading the log device back
-  replay.RestoreDurableState(records, log_.durable_lsn());
+  replay.RestoreDurableState(snap.records, snap.durable_lsn);
   EXPECT_EQ(replay.TruncateTornTail(), 2u);  // torn record and its suffix
   EXPECT_EQ(replay.num_records(), 2);
   EXPECT_EQ(replay.durable_lsn(), replay.records_snapshot().back().lsn);
   // Appends reuse the reclaimed LSN space, as a real log rewrite would.
   EXPECT_EQ(replay.AppendUpdate(9, 9, 0, bytes), torn_lsn);
+}
+
+std::vector<LogRecord> Decoded(const LogBuffer& log) {
+  std::vector<LogRecord> out;
+  for (const LogRecordView rec : log) out.push_back(rec.ToRecord());
+  return out;
+}
+
+// Seeded byte-mutation fuzzing of the record parser. A forced log of random
+// records (payloads from empty to whole-page images, spread over several
+// segments) has bytes overwritten anywhere, in length fields and on segment
+// boundaries included; replay must cut it at the first damaged record and
+// keep every record before the cut byte for byte. A length that
+// runs past its segment or past a page is torn, not a CHECK failure, and
+// nothing reads outside the segments (the crash-torture job runs this
+// under ASan and UBSan).
+TEST(LogParserFuzzTest, MutatedBytesAreCutAsTornTail) {
+  constexpr uint32_t kPageBytes = 1024;
+  MemDevice dev(1 << 12, kPageBytes);
+  LogManager log(&dev);
+  Rng rng(11);
+  std::vector<uint8_t> payload(kPageBytes);
+  while (log.current_lsn() < 5 * LogBuffer::kSegmentBytes / 2) {
+    switch (rng.Uniform(4)) {
+      case 0:
+      case 1: {
+        const uint32_t len = static_cast<uint32_t>(
+            rng.Uniform(3) == 0 ? kPageBytes : rng.Uniform(kPageBytes / 4));
+        const auto offset =
+            static_cast<uint32_t>(rng.Uniform(kPageBytes - len + 1));
+        for (uint32_t i = 0; i < len; ++i) {
+          payload[i] = static_cast<uint8_t>(rng.Next());
+        }
+        log.AppendUpdate(rng.Next(), rng.Uniform(1 << 20), offset,
+                         std::span<const uint8_t>(payload.data(), len));
+        break;
+      }
+      case 2:
+        log.AppendCommit(rng.Next());
+        break;
+      default:
+        log.AppendBeginCheckpoint();
+        log.AppendEndCheckpoint();
+    }
+  }
+  IoContext ctx;
+  log.CommitForce(ctx);
+  const std::vector<LogRecord> appended = log.records_snapshot();
+  const LogManager::CrashSnapshot snap = log.SnapshotForCrash();
+  const auto extents = snap.records.segment_extents();
+  ASSERT_GE(extents.size(), 3u);
+  // Index of the record holding the byte at `lsn`.
+  auto record_of = [&](Lsn lsn) {
+    const auto it = std::upper_bound(
+        appended.begin(), appended.end(), lsn,
+        [](Lsn l, const LogRecord& rec) { return l < rec.lsn; });
+    return static_cast<size_t>(it - appended.begin()) - 1;
+  };
+
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng r(seed);
+    LogBuffer bytes = snap.records;
+    size_t first_damaged = appended.size();
+    const int flips = 1 + static_cast<int>(r.Uniform(3));
+    for (int f = 0; f < flips; ++f) {
+      const auto& [first, end] = extents[r.Uniform(extents.size())];
+      Lsn at = 0;
+      switch (r.Uniform(3)) {
+        case 0:  // anywhere
+          at = first + r.Uniform(end - first);
+          break;
+        case 1:  // a length field (header bytes 29-31)
+          at = appended[r.Uniform(appended.size())].lsn + 29 + r.Uniform(3);
+          break;
+        default:  // the first or last byte of a segment
+          at = r.Uniform(2) == 0 ? first : end - 1;
+      }
+      bytes.FlipByte(at, static_cast<uint8_t>(1 + r.Uniform(255)));
+      first_damaged = std::min(first_damaged, record_of(at));
+    }
+    LogManager replay(&dev);
+    replay.RestoreDurableState(bytes, snap.durable_lsn);
+    replay.TruncateTornTail();
+    const std::vector<LogRecord> survivors = replay.records_snapshot();
+    // The cut lands exactly at the first damaged record.
+    ASSERT_EQ(survivors.size(), first_damaged) << "seed " << seed;
+    for (size_t i = 0; i < survivors.size(); ++i) {
+      ASSERT_EQ(survivors[i], appended[i])
+          << "seed " << seed << " record " << i;
+    }
+    EXPECT_EQ(replay.num_records(), static_cast<int64_t>(survivors.size()));
+    EXPECT_EQ(replay.TruncateTornTail(), 0u) << "seed " << seed;
+  }
+  // The mutations went to copies: the log itself is intact.
+  EXPECT_EQ(Decoded(snap.records), appended);
+}
+
+// Restarts from one capture share its segments. Each restored log cuts its
+// tail and appends its own records; no log may write into a segment another
+// one (or the capture) still reads.
+TEST(LogCopyOnWriteTest, RestoredLogsNeverWriteSharedSegments) {
+  MemDevice dev(1 << 12, 1024);
+  LogManager log(&dev);
+  IoContext ctx;
+  const std::vector<uint8_t> bytes(100, 1);
+  for (PageId pid = 0; pid < 5; ++pid) log.AppendUpdate(1, pid, 0, bytes);
+  log.CommitForce(ctx);
+  log.AppendUpdate(2, 10, 0, bytes);  // the unforced tail
+  log.AppendUpdate(2, 11, 0, bytes);
+  const LogManager::CrashSnapshot cap = log.SnapshotForCrash();
+  const std::vector<LogRecord> captured = Decoded(cap.records);
+  ASSERT_EQ(captured.size(), 7u);
+  // The live log keeps appending into the tail segment the capture shares.
+  log.AppendUpdate(3, 12, 0, bytes);
+
+  // a and b reclaim the unforced tail's LSNs, c keeps them unused.
+  LogManager a(&dev);
+  LogManager b(&dev);
+  LogManager c(&dev);
+  for (LogManager* restored : {&a, &b, &c}) {
+    restored->RestoreDurableState(cap.records, cap.durable_lsn);
+  }
+  EXPECT_EQ(a.TruncateTornTail(), 2u);
+  EXPECT_EQ(b.TruncateTornTail(), 2u);
+  EXPECT_EQ(c.DropUnflushed(), 2u);
+  const std::vector<uint8_t> a_bytes(100, 0xaa);
+  const std::vector<uint8_t> b_bytes(60, 0xbb);
+  const std::vector<uint8_t> c_bytes(30, 0xcc);
+  EXPECT_EQ(a.AppendUpdate(4, 20, 0, a_bytes), captured[5].lsn);
+  EXPECT_EQ(b.AppendUpdate(5, 21, 0, b_bytes), captured[5].lsn);
+  c.AppendUpdate(6, 22, 0, c_bytes);
+  a.AppendCommit(4);
+
+  const std::vector<LogRecord> durable(captured.begin(), captured.begin() + 5);
+  auto expect_log = [&](LogManager& restored, std::vector<LogRecord> tail,
+                        const char* name) {
+    std::vector<LogRecord> want = durable;
+    want.insert(want.end(), tail.begin(), tail.end());
+    const std::vector<LogRecord> got = restored.records_snapshot();
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (i >= durable.size()) want[i].lsn = got[i].lsn;
+      want[i].SealChecksum();
+      EXPECT_EQ(got[i], want[i]) << name << " record " << i;
+    }
+  };
+  auto record = [](LogRecordType type, uint64_t txn, PageId pid,
+                   const std::vector<uint8_t>& payload) {
+    LogRecord rec;
+    rec.type = type;
+    rec.txn_id = txn;
+    rec.page_id = pid;
+    rec.bytes = payload;
+    return rec;
+  };
+  constexpr LogRecordType kUpdate = LogRecordType::kUpdate;
+  expect_log(a,
+             {record(kUpdate, 4, 20, a_bytes),
+              record(LogRecordType::kCommit, 4, kInvalidPageId, {})},
+             "a");
+  expect_log(b, {record(kUpdate, 5, 21, b_bytes)}, "b");
+  expect_log(c, {record(kUpdate, 6, 22, c_bytes)}, "c");
+  EXPECT_EQ(Decoded(cap.records), captured);
+  const std::vector<LogRecord> live = log.records_snapshot();
+  ASSERT_EQ(live.size(), 8u);
+  EXPECT_EQ(std::vector<LogRecord>(live.begin(), live.begin() + 7), captured);
 }
 
 }  // namespace
