@@ -125,7 +125,9 @@ Time LazyCleaningCache::CleanOneGroup(IoContext& ctx) {
   // *consecutive disk addresses* starting at the seed, so the copy-out is
   // one large sequential disk write.
   const uint32_t page_bytes = disk_->page_bytes();
-  std::vector<uint8_t> buffer;
+  // Staging for the whole group; page k of the group lands in slot k.
+  std::vector<uint8_t> buffer(
+      static_cast<size_t>(options_.lc_group_pages) * page_bytes);
   // What was staged, with the record's page id and LSN at staging time —
   // the mark-clean pass below uses them to detect frames re-dirtied (or
   // recycled) between the SSD read and the re-acquired latch.
@@ -150,11 +152,10 @@ Time LazyCleaningCache::CleanOneGroup(IoContext& ctx) {
     // Pages cannot move between devices directly: read the dirty page from
     // the SSD into memory first — verified, so a corrupt frame is never
     // copied over the disk's (older but intact) version of the page.
-    buffer.resize(buffer.size() + page_bytes);
     IoContext read_ctx = ctx;
     const Status rs = ReadFrameVerified(
         part, rec, pid,
-        std::span<uint8_t>(buffer.data() + buffer.size() - page_bytes,
+        std::span<uint8_t>(buffer.data() + group.size() * page_bytes,
                            page_bytes),
         read_ctx);
     if (!rs.ok()) {
@@ -163,7 +164,6 @@ Time LazyCleaningCache::CleanOneGroup(IoContext& ctx) {
         QuarantineFrameLocked(part, rec);
         RecordLostPage(pid);
       }
-      buffer.resize(buffer.size() - page_bytes);
       if (i == 0 && group.empty()) {
         // Nothing gathered; transient errors retry next step (quarantine
         // above guarantees progress for persistent corruption).

@@ -1,6 +1,6 @@
 #include "core/ssd_buffer_table.h"
 
-#include <bit>
+#include <algorithm>
 
 #include "common/status.h"
 
@@ -9,11 +9,6 @@ namespace turbobp {
 SsdBufferTable::SsdBufferTable(int32_t capacity) {
   TURBOBP_CHECK(capacity > 0);
   records_.resize(static_cast<size_t>(capacity));
-  // 2x records, rounded to a power of two, keeps chains short.
-  const uint64_t nbuckets =
-      std::bit_ceil(static_cast<uint64_t>(capacity) * 2);
-  buckets_.assign(nbuckets, -1);
-  bucket_mask_ = nbuckets - 1;
   // Thread the initial free list through the records.
   for (int32_t i = 0; i < capacity; ++i) {
     records_[static_cast<size_t>(i)].free_next = i + 1 < capacity ? i + 1 : -1;
@@ -21,49 +16,27 @@ SsdBufferTable::SsdBufferTable(int32_t capacity) {
   free_head_ = 0;
 }
 
-size_t SsdBufferTable::BucketOf(PageId pid) const {
-  // Fibonacci hashing spreads dense page ids.
-  return static_cast<size_t>((pid * 0x9E3779B97F4A7C15ull) >> 13 &
-                             bucket_mask_);
-}
-
-int32_t SsdBufferTable::Lookup(PageId pid) const {
-  int32_t i = buckets_[BucketOf(pid)];
-  while (i != -1) {
-    const SsdFrameRecord& r = records_[static_cast<size_t>(i)];
-    if (r.page_id == pid) return i;
-    i = r.hash_next;
-  }
-  return -1;
-}
-
 void SsdBufferTable::InsertHash(int32_t rec) {
-  SsdFrameRecord& r = records_[static_cast<size_t>(rec)];
-  TURBOBP_DCHECK(r.page_id != kInvalidPageId);
-  const size_t b = BucketOf(r.page_id);
-  r.hash_next = buckets_[b];
-  buckets_[b] = rec;
+  const PageId pid = records_[static_cast<size_t>(rec)].page_id;
+  TURBOBP_DCHECK(pid != kInvalidPageId);
+  if (pid >= index_.size()) {
+    // Grow by doubling, so an ascending admission order does not reallocate
+    // on every insert.
+    if (pid >= index_.capacity()) {
+      index_.reserve(std::max<size_t>(pid + 1, index_.capacity() * 2));
+    }
+    index_.resize(pid + 1, -1);
+  }
+  TURBOBP_DCHECK(index_[pid] == -1);
+  index_[pid] = rec;
 }
 
 void SsdBufferTable::RemoveHash(int32_t rec) {
-  SsdFrameRecord& r = records_[static_cast<size_t>(rec)];
-  const size_t b = BucketOf(r.page_id);
-  int32_t i = buckets_[b];
-  if (i == rec) {
-    buckets_[b] = r.hash_next;
-    r.hash_next = -1;
-    return;
+  const PageId pid = records_[static_cast<size_t>(rec)].page_id;
+  if (Lookup(pid) != rec) {
+    Panic(__FILE__, __LINE__, "record not found in SSD page index");
   }
-  while (i != -1) {
-    SsdFrameRecord& prev = records_[static_cast<size_t>(i)];
-    if (prev.hash_next == rec) {
-      prev.hash_next = r.hash_next;
-      r.hash_next = -1;
-      return;
-    }
-    i = prev.hash_next;
-  }
-  Panic(__FILE__, __LINE__, "record not found in SSD hash chain");
+  index_[pid] = -1;
 }
 
 int32_t SsdBufferTable::PopFree() {

@@ -21,13 +21,13 @@ enum class SsdFrameState : uint8_t {
 // One record of the SSD buffer table (Section 3.1): the paper stores a page
 // id, a dirty bit, the last two access times (LRU-2), a latch and linkage
 // pointers in an 88-byte record; this struct is the same shape (the latch
-// lives at partition granularity, Section 3.3.4).
+// lives at partition granularity, Section 3.3.4, and a direct page index
+// takes the place of the hash chain).
 struct SsdFrameRecord {
   PageId page_id = kInvalidPageId;
   Lsn page_lsn = kInvalidLsn;        // LSN carried by a dirty page (WAL/ckpt)
   Time access[2] = {0, 0};           // [0]=last, [1]=penultimate access
   Time ready_at = 0;                 // SSD write completion; readable after
-  int32_t hash_next = -1;            // intra-bucket chain
   int32_t free_next = -1;            // SSD free list chain
   int32_t heap_pos = -1;             // slot in the SSD heap array, -1 if none
   SsdFrameState state = SsdFrameState::kFree;
@@ -48,9 +48,11 @@ struct SsdFrameRecord {
   }
 };
 
-// The SSD buffer table, hash table and free list of Figure 4 for one
-// partition: `capacity` records, a chained hash index over page ids, and an
-// intrusive free list threaded through the records.
+// The SSD buffer table, page index and free list of Figure 4 for one
+// partition: `capacity` records, a direct index from page id to record (the
+// paper hashes sparse page ids; ours are dense, so the index is a vector
+// that grows to the largest id inserted), and an intrusive free list
+// threaded through the records.
 class SsdBufferTable {
  public:
   explicit SsdBufferTable(int32_t capacity);
@@ -62,12 +64,14 @@ class SsdBufferTable {
   const SsdFrameRecord& record(int32_t i) const { return records_[i]; }
 
   // Returns the record index holding `pid`, or -1.
-  int32_t Lookup(PageId pid) const;
+  int32_t Lookup(PageId pid) const {
+    return pid < index_.size() ? index_[pid] : -1;
+  }
 
-  // Links `rec` (whose page_id must be set) into the hash table.
+  // Indexes `rec` (whose page_id must be set and not yet indexed).
   void InsertHash(int32_t rec);
 
-  // Unlinks `rec` from the hash table.
+  // Drops `rec`'s index entry.
   void RemoveHash(int32_t rec);
 
   // Pops a free record, or returns -1 when the partition is full.
@@ -77,15 +81,12 @@ class SsdBufferTable {
   void PushFree(int32_t rec);
 
  private:
-  friend class InvariantAuditor;  // walks buckets/free list read-only
-
-  size_t BucketOf(PageId pid) const;
+  friend class InvariantAuditor;  // walks index/free list read-only
 
   std::vector<SsdFrameRecord> records_;
-  std::vector<int32_t> buckets_;
+  std::vector<int32_t> index_;  // page id -> record, -1 if not cached
   int32_t free_head_ = -1;
   int32_t used_ = 0;
-  uint64_t bucket_mask_ = 0;
 };
 
 }  // namespace turbobp

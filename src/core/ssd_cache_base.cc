@@ -810,6 +810,12 @@ void SsdCacheBase::RestoreEntries(
     return dv.IsIntactCopyOf(e.page_id) && dv.header().lsn >= e.page_lsn;
   };
   for (const CheckpointEntry& e : entries) {
+    // A journal entry may name any page id; only a page of the database can
+    // be cached (the same bound LazyScanEntries applies to frame headers).
+    if (e.page_id >= disk_->num_pages()) {
+      ++stats.dropped_verification;
+      continue;
+    }
     Partition& part = PartitionFor(e.page_id);
     const int64_t rec64 = static_cast<int64_t>(e.frame) - part.frame_base;
     if (rec64 < 0 || rec64 >= part.table.capacity()) continue;

@@ -67,7 +67,7 @@ struct SsdCacheOptions {
 };
 
 // Common machinery shared by the CW/DW/LC designs and TAC: the partitioned
-// buffer table / hash table / free list / split heap of Section 3.1, the
+// buffer table / page index / free list / split heap of Section 3.1, the
 // admission policy of Section 2.2 (random-only plus aggressive filling,
 // Section 3.3.1), throttle control (Section 3.3.2) and the SSD read/write
 // paths. Concrete designs supply the eviction-time behaviour.
@@ -232,7 +232,7 @@ class SsdCacheBase : public SsdManager {
   // TAC overrides with coldest-valid-temperature). Returns -1 if none.
   virtual int32_t PickVictim(Partition& part) TURBOBP_REQUIRES(part.mu);
 
-  // Unlinks `rec` from hash and heap (it stays allocated for reuse).
+  // Unlinks `rec` from the index and heap (it stays allocated for reuse).
   void DetachRecord(Partition& part, int32_t rec) TURBOBP_REQUIRES(part.mu);
   // Returns an in-service `rec` to the free list: dirty and used counts,
   // detach, free-list push, journal erase.
@@ -263,7 +263,7 @@ class SsdCacheBase : public SsdManager {
                            std::span<uint8_t> out, IoContext& ctx,
                            bool hedge_ok = false) TURBOBP_REQUIRES(part.mu);
 
-  // Takes `rec` out of service permanently: detached from hash and heap,
+  // Takes `rec` out of service permanently: detached from index and heap,
   // never returned to the free list (the flash cells are bad), state
   // kQuarantined. Partition lock must be held.
   void QuarantineFrameLocked(Partition& part, int32_t rec)

@@ -83,7 +83,7 @@ struct PersistentRestoreStats {
   size_t entries_recovered = 0;   // journal entries considered
   size_t restored = 0;            // frames re-attached to the cache
   size_t dropped_beyond_horizon = 0;  // LSN > WAL durable horizon: dropped
-  size_t dropped_verification = 0;    // header/checksum mismatch: dropped
+  size_t dropped_verification = 0;    // header/checksum/page-id check failed
   size_t reseeded = 0;            // superseded dirty images copied to disk
   // Redo must start no later than this to roll re-attached dirty frames'
   // disk copies forward (kInvalidLsn when no dirty frame was restored).

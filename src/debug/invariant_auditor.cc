@@ -253,40 +253,38 @@ AuditReport InvariantAuditor::AuditSsdCache(const SsdCacheBase& cache) {
                      std::to_string(cap));
     }
 
-    // Hash chains: every entry is a live record of this partition, in the
-    // right bucket, and findable (no duplicate page ids shadowing it).
+    // Page index: every entry names an in-table record of this partition
+    // that holds that page. A record counts as hashed only through its own
+    // page's entry, so the state pass below, which requires exactly the
+    // clean, dirty and invalid records to be hashed, closes the bijection.
     std::vector<char> in_hash(static_cast<size_t>(cap), 0);
-    for (size_t b = 0; b < table.buckets_.size(); ++b) {
-      int32_t steps = 0;
-      for (int32_t rec = table.buckets_[b]; rec != -1;
-           rec = table.records_[static_cast<size_t>(rec)].hash_next) {
-        if (rec < 0 || rec >= cap || ++steps > cap) {
-          report.Add("ssd.hash", where + ": bucket " + std::to_string(b) +
-                                     " chain corrupt at record " +
-                                     std::to_string(rec));
-          break;
-        }
-        in_hash[static_cast<size_t>(rec)] = 1;
-        const SsdFrameRecord& r = table.record(rec);
-        if (r.state == SsdFrameState::kFree) {
-          report.Add("ssd.hash", where + ": stale hash entry: record " +
-                                     std::to_string(rec) + " (page " +
-                                     PidStr(r.page_id) + ") is free");
-          continue;
-        }
-        if (table.BucketOf(r.page_id) != b) {
-          report.Add("ssd.hash", where + ": record " + std::to_string(rec) +
-                                     " (page " + PidStr(r.page_id) +
-                                     ") chained in the wrong bucket");
-        }
-        if (table.Lookup(r.page_id) != rec) {
-          report.Add("ssd.hash", where + ": page " + PidStr(r.page_id) +
-                                     " has a duplicate or shadowed entry");
-        }
-        if (&cache.PartitionFor(r.page_id) != &part) {
-          report.Add("ssd.hash", where + ": page " + PidStr(r.page_id) +
-                                     " belongs to a different partition");
-        }
+    for (size_t pid = 0; pid < table.index_.size(); ++pid) {
+      const int32_t rec = table.index_[pid];
+      if (rec == -1) continue;
+      const auto entry = [&] {
+        return where + ": index entry for page " + std::to_string(pid) +
+               " names record " + std::to_string(rec);
+      };
+      if (rec < 0 || rec >= cap) {
+        report.Add("ssd.hash", entry() + ", out of range");
+        continue;
+      }
+      const SsdFrameRecord& r = table.record(rec);
+      if (r.state == SsdFrameState::kFree) {
+        report.Add("ssd.hash", where + ": stale hash entry: record " +
+                                   std::to_string(rec) + " (page " +
+                                   std::to_string(pid) + ") is free");
+        continue;
+      }
+      if (r.page_id != pid) {
+        report.Add("ssd.hash", entry() + ", which holds page " +
+                                   PidStr(r.page_id));
+        continue;
+      }
+      in_hash[static_cast<size_t>(rec)] = 1;
+      if (&cache.PartitionFor(r.page_id) != &part) {
+        report.Add("ssd.hash", where + ": page " + PidStr(r.page_id) +
+                                   " belongs to a different partition");
       }
     }
 

@@ -60,13 +60,14 @@ class AuditReport {
 //          and listed exactly once; dirty/pinned frames are resident;
 //          every unpinned clean resident frame is an intact copy of its
 //          page (PageView::IsIntactCopyOf).
-//   ssd:   every hash entry points at a live buffer-table record in the
-//          right partition and bucket; heap membership matches the record
-//          state (clean side <=> kClean, dirty side <=> kDirty, free and
-//          invalid records in no heap); free-list length and used counts
-//          reconcile with the aggregate used/dirty/invalid frame counters;
-//          partition frame ranges tile [0, S) disjointly; per-design state
-//          legality (kDirty only under LC, kInvalid only under TAC).
+//   ssd:   page-index entries and in-table (clean, dirty, invalid)
+//          records are in bijection, each in its page's partition; heap
+//          membership matches the record state (clean side <=> kClean,
+//          dirty side <=> kDirty, free and invalid records in no heap);
+//          free-list length and used counts reconcile with the aggregate
+//          used/dirty/invalid frame counters; partition frame ranges tile
+//          [0, S) disjointly; per-design state legality (kDirty only under
+//          LC, kInvalid only under TAC).
 //   cross: a page dirty in the memory pool has no SSD copy (it was
 //          invalidated on the clean->dirty transition), and a kNewerCopy
 //          probe result implies a dirty SSD record (the LC copy-state

@@ -222,6 +222,52 @@ TEST_F(RestartExtensionTest, StaleDirtyEntryCannotRollBackCheckpointedUpdate) {
   VerifyShadowThroughPool(rctx);
 }
 
+// A journal entry and a CRC-valid frame header may agree on a page id the
+// database does not have. The restore must drop such an entry (the frame
+// scan already rejects such headers) rather than index the page.
+TEST_F(RestartExtensionTest, OutOfRangePageIdIsDropped) {
+  IoContext ctx = system_->MakeContext();
+  Rng rng(13);
+  Churn(40, ctx, rng);
+  auto& cache = static_cast<SsdCacheBase&>(system_->ssd_manager());
+  std::vector<bool> used(128, false);  // config.ssd_frames
+  for (const auto& e : cache.SnapshotForCheckpoint()) used[e.frame] = true;
+
+  // Plant the forged frame in a free frame of each partition (two
+  // partitions of 64 frames), so one of them is in the range its page's
+  // partition would accept.
+  const PageId forged = PageId{1} << 60;
+  const Lsn lsn = last_lsn_.begin()->second;  // durable: committed above
+  std::vector<uint8_t> page(kPage);
+  PageView v(page.data(), kPage);
+  v.Format(forged, PageType::kRaw);
+  v.header().lsn = lsn;
+  v.SealChecksum();
+  for (const uint64_t base : {0, 64}) {
+    uint64_t frame = base;
+    while (used[frame]) ++frame;
+    ASSERT_LT(frame, base + 64) << "no free frame to plant in";
+    ASSERT_TRUE(system_->ssd_device()
+                    ->Write(frame, 1, page, ctx.now, /*charge=*/false)
+                    .ok());
+    cache.journal()->NotePut(frame, forged, lsn, /*dirty=*/true);
+  }
+  ASSERT_TRUE(cache.journal()->Maintain(ctx, /*force=*/true).ok());
+
+  PersistentRestoreStats restore;
+  IoContext rctx;
+  CrashAndRecover(&restore, rctx);
+  EXPECT_TRUE(restore.journal_valid);
+  EXPECT_GT(restore.restored, 0u);
+  EXPECT_GE(restore.dropped_verification, 2u);
+  SsdManager& restarted = system_->ssd_manager();  // the crash rebuilt it
+  EXPECT_EQ(restarted.Probe(forged), SsdProbe::kAbsent);
+  for (const auto& e : restarted.SnapshotForCheckpoint()) {
+    EXPECT_NE(e.page_id, forged);
+  }
+  VerifyShadowThroughPool(rctx);
+}
+
 TEST_F(RestartExtensionTest, RestartBeforeAnyCheckpointStaysCorrect) {
   IoContext ctx = system_->MakeContext();
   Rng rng(11);

@@ -39,42 +39,35 @@ TEST(SsdBufferTableTest, HashInsertLookupRemove) {
   EXPECT_EQ(t.Lookup(1234), -1);
 }
 
-TEST(SsdBufferTableTest, ChainsHandleCollisions) {
-  SsdBufferTable t(64);
-  // Insert many ids; all must remain findable regardless of bucket
-  // collisions.
+// The index is direct: sparse and large page ids grow it, ids past its end
+// look up as absent, and a removed id can be re-inserted into another record.
+TEST(SsdBufferTableTest, SparseAndLargeIdsGrowTheIndex) {
+  SsdBufferTable t(8);
+  const PageId ids[] = {5, 1000003, 3, 1 << 22, 0};
   std::unordered_map<PageId, int32_t> expect;
-  for (PageId pid = 0; pid < 64; ++pid) {
+  for (const PageId pid : ids) {
     const int32_t rec = t.PopFree();
     ASSERT_NE(rec, -1);
-    t.record(rec).page_id = pid * 1000003;
+    t.record(rec).page_id = pid;
     t.InsertHash(rec);
-    expect[pid * 1000003] = rec;
+    expect[pid] = rec;
   }
-  for (const auto& [pid, rec] : expect) {
-    EXPECT_EQ(t.Lookup(pid), rec);
-  }
-}
+  for (const auto& [pid, rec] : expect) EXPECT_EQ(t.Lookup(pid), rec);
+  EXPECT_EQ(t.Lookup(4), -1);                // inside the index, unused
+  EXPECT_EQ(t.Lookup((1 << 22) + 1), -1);    // just past its end
+  EXPECT_EQ(t.Lookup(PageId{1} << 60), -1);  // far past its end
+  EXPECT_EQ(t.Lookup(kInvalidPageId), -1);
 
-TEST(SsdBufferTableTest, RemoveMiddleOfChain) {
-  SsdBufferTable t(8);
-  // Force a collision chain by brute force: find three ids in one bucket.
-  // Simpler: insert all eight and remove in arbitrary order.
-  std::vector<int32_t> recs;
-  for (int i = 0; i < 8; ++i) {
-    const int32_t rec = t.PopFree();
-    t.record(rec).page_id = static_cast<PageId>(i);
-    t.InsertHash(rec);
-    recs.push_back(rec);
-  }
-  t.RemoveHash(recs[3]);
-  t.RemoveHash(recs[0]);
-  t.RemoveHash(recs[7]);
-  EXPECT_EQ(t.Lookup(3), -1);
-  EXPECT_EQ(t.Lookup(0), -1);
-  EXPECT_EQ(t.Lookup(7), -1);
-  EXPECT_EQ(t.Lookup(1), recs[1]);
-  EXPECT_EQ(t.Lookup(6), recs[6]);
+  // Remove an id, then re-insert it into a different record.
+  const int32_t old_rec = expect.at(1000003);
+  t.RemoveHash(old_rec);
+  EXPECT_EQ(t.Lookup(1000003), -1);
+  EXPECT_EQ(t.Lookup(1 << 22), expect.at(1 << 22));
+  const int32_t new_rec = t.PopFree();
+  ASSERT_NE(new_rec, -1);
+  t.record(new_rec).page_id = 1000003;
+  t.InsertHash(new_rec);
+  EXPECT_EQ(t.Lookup(1000003), new_rec);
 }
 
 TEST(SsdBufferTableTest, PushFreeResetsRecordAndRecycles) {
@@ -102,7 +95,7 @@ TEST(SsdBufferTableTest, Lru2KeyIsPenultimateAccess) {
   EXPECT_EQ(r.Lru2Key(), 200);
 }
 
-// Randomized churn: the table's used() count, hash and free list stay
+// Randomized churn: the table's used() count, index and free list stay
 // consistent under arbitrary insert/remove interleavings.
 TEST(SsdBufferTableTest, RandomizedChurnStaysConsistent) {
   SsdBufferTable t(32);

@@ -159,6 +159,58 @@ TEST_F(InvariantAuditorTest, DetectsStaleHashEntryAfterBotchedEviction) {
       << report.ToString();
 }
 
+// The reverse direction of the index bijection: an in-table record whose
+// page has no index entry is unreachable.
+TEST_F(InvariantAuditorTest, DetectsCleanRecordMissingFromIndex) {
+  DualWriteCache ssd(&ssd_dev_, &disk_, sopts_, nullptr);
+  IoContext ctx;
+  const PageId pid = 21;
+  ssd.OnEvictClean(pid, MakePage(pid), AccessKind::kRandom, ctx);
+
+  const size_t part = AuditAccess::PartitionIndexOf(ssd, pid);
+  SsdBufferTable& table = AuditAccess::Table(ssd, part);
+  const int32_t rec = table.Lookup(pid);
+  ASSERT_NE(rec, -1);
+  table.RemoveHash(rec);
+
+  const AuditReport report = InvariantAuditor::AuditSsdCache(ssd);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(HasViolationContaining(report, "clean but not hashed"))
+      << report.ToString();
+}
+
+// An index entry that names a record holding another page: the entry's page
+// would be served the wrong frame, and the record's own page is unreachable.
+TEST_F(InvariantAuditorTest, DetectsIndexEntryNamingAnotherPagesRecord) {
+  DualWriteCache ssd(&ssd_dev_, &disk_, sopts_, nullptr);
+  IoContext ctx;
+  const PageId pid = 21;
+  ssd.OnEvictClean(pid, MakePage(pid), AccessKind::kRandom, ctx);
+
+  // Relabel the record behind the index's back, to a page of the same
+  // partition that the cache does not hold.
+  const size_t part = AuditAccess::PartitionIndexOf(ssd, pid);
+  SsdBufferTable& table = AuditAccess::Table(ssd, part);
+  const int32_t rec = table.Lookup(pid);
+  ASSERT_NE(rec, -1);
+  PageId other = pid + 1;
+  while (AuditAccess::PartitionIndexOf(ssd, other) != part ||
+         table.Lookup(other) != -1) {
+    ++other;
+  }
+  table.record(rec).page_id = other;
+
+  const AuditReport report = InvariantAuditor::AuditSsdCache(ssd);
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(HasViolationContaining(
+      report, "index entry for page " + std::to_string(pid) + " names record " +
+                  std::to_string(rec) + ", which holds page " +
+                  std::to_string(other)))
+      << report.ToString();
+  EXPECT_TRUE(HasViolationContaining(report, "clean but not hashed"))
+      << report.ToString();
+}
+
 TEST_F(InvariantAuditorTest, DetectsDriftedDirtyCounter) {
   LazyCleaningCache ssd(&ssd_dev_, &disk_, sopts_, nullptr);
   IoContext ctx;
