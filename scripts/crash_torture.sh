@@ -37,11 +37,11 @@ cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target fault_crash_matrix_test wal_recovery_idempotence_test \
   wal_log_manager_test fault_checkpoint_flush_failure_test \
   fault_restart_matrix_test core_ssd_metadata_journal_test \
-  core_restart_extension_test
+  core_restart_extension_test wal_wal_group_commit_test
 
 echo "crash torture: full sweep (cold + warm-restart), seeds: ${SEEDS}"
 TURBOBP_TORTURE_FULL=1 TURBOBP_TORTURE_SEEDS="${SEEDS}" \
   ctest --test-dir "${BUILD_DIR}" --output-on-failure -j"$(nproc)" \
-  -R 'crash_matrix|recovery_idempotence|log_manager|checkpoint_flush_failure|restart_matrix|ssd_metadata_journal|restart_extension'
+  -R 'crash_matrix|recovery_idempotence|log_manager|checkpoint_flush_failure|restart_matrix|ssd_metadata_journal|restart_extension|wal_group_commit'
 
 echo "crash torture: all scenarios recovered clean"

@@ -277,7 +277,7 @@ void BufferPool::InstallExpandedPage(PageId p, const uint8_t* bytes,
 PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
                                 Status* out_error) {
   TURBOBP_CHECK(pid < page_table_.size());
-  if (ctx.charge) ctx.now += options_.hit_cpu;
+  if (ctx.charge) ctx.now += kHitCpu;
   Shard& sh = *shards_[ShardOf(pid)];
   int32_t frame = -1;
   int spins = 0;

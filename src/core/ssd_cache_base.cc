@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/status.h"
 #include "fault/crash_point.h"
@@ -802,12 +803,13 @@ void SsdCacheBase::RestoreEntries(
     PersistentRestoreStats& stats) {
   std::vector<uint8_t> buf(ssd_device_->page_bytes());
   std::vector<uint8_t> disk_buf(disk_->page_bytes());
-  // Whether the disk holds an intact image of the entry's page at least as
-  // new as the entry (one charged disk read).
-  const auto disk_at_least = [&](const CheckpointEntry& e) {
-    if (!disk_->ReadPage(e.page_id, disk_buf, ctx).ok()) return false;
+  // The LSN of the disk's intact image of the entry's page (one charged
+  // disk read); nullopt when the disk copy is unreadable or damaged.
+  const auto disk_lsn = [&](const CheckpointEntry& e) -> std::optional<Lsn> {
+    if (!disk_->ReadPage(e.page_id, disk_buf, ctx).ok()) return std::nullopt;
     const PageView dv(disk_buf.data(), disk_->page_bytes());
-    return dv.IsIntactCopyOf(e.page_id) && dv.header().lsn >= e.page_lsn;
+    if (!dv.IsIntactCopyOf(e.page_id)) return std::nullopt;
+    return dv.header().lsn;
   };
   for (const CheckpointEntry& e : entries) {
     // A journal entry may name any page id; only a page of the database can
@@ -879,24 +881,34 @@ void SsdCacheBase::RestoreEntries(
       ++stats.dropped_verification;
       continue;
     }
-    // A "clean" journal entry can predate the disk write of the same image
-    // (write-through designs journal the SSD admission before the buffer
-    // pool's disk write lands). Attaching — and especially covering — such
-    // an entry would let redo skip an update the disk never received, and a
-    // clean frame may later be evicted without write-back. Only a disk copy
-    // at least as new as the entry proves the "clean" claim; anything else
-    // drops the entry and redo rebuilds the page from the disk base.
-    if (!e.dirty && !disk_at_least(e)) {
+    // Only a disk copy intact at exactly the entry's LSN proves a "clean"
+    // claim. An older one means the journal ran ahead of the disk write
+    // (write-through designs journal the admission first): covering the
+    // entry would let redo skip an update the disk never received. A newer
+    // one means the entry is stale (erases go unwritten while the whole
+    // cache is degraded), and once the log is truncated the disk copy is the
+    // only evidence of that. Redo rebuilds the page from the disk.
+    if (!e.dirty && disk_lsn(e) != e.page_lsn) {
       part.table.PushFree(rec);
       ++stats.dropped_verification;
       continue;
     }
-    bool superseded = false;
+    // The page's newest update in the retained log (which starts at the
+    // last completed checkpoint).
+    Lsn newest = kInvalidLsn;
     if (max_update_lsn != nullptr) {
       const auto it = max_update_lsn->find(e.page_id);
-      superseded = it != max_update_lsn->end() && it->second > e.page_lsn;
+      if (it != max_update_lsn->end()) newest = it->second;
     }
-    if (superseded) {
+    // A dirty entry whose own update is not in the retained log predates
+    // the last completed checkpoint, which drained it to disk: nothing to
+    // restore, and no disk write either (the disk copy is at least as new).
+    if (e.dirty && max_update_lsn != nullptr && newest < e.page_lsn) {
+      part.table.PushFree(rec);
+      ++stats.dropped_verification;
+      continue;
+    }
+    if (newest > e.page_lsn) {
       part.table.PushFree(rec);
       // The copy is stale for serving reads, but it is still a valid page
       // image at its LSN: seed the disk with it when the disk copy is older
@@ -905,8 +917,8 @@ void SsdCacheBase::RestoreEntries(
       // at least as new must stay: the entry may be a stale journal record
       // (erases go unwritten while the whole cache is degraded) whose page
       // a completed checkpoint has since written, and redo starts after
-      // that checkpoint.
-      if (e.dirty && !disk_at_least(e)) {
+      // that checkpoint. (An unreadable disk copy compares as older.)
+      if (e.dirty && !(disk_lsn(e) >= e.page_lsn)) {
         const IoResult w = disk_->WritePage(e.page_id, buf, ctx);
         TURBOBP_CHECK_OK(w.status);
         ctx.Wait(w.time);
@@ -947,11 +959,6 @@ void SsdCacheBase::RestoreEntries(
       cl = std::max(cl, e.page_lsn);
     }
     ++stats.restored;
-    if (e.dirty && e.page_lsn != kInvalidLsn &&
-        (stats.min_dirty_lsn == kInvalidLsn ||
-         e.page_lsn < stats.min_dirty_lsn)) {
-      stats.min_dirty_lsn = e.page_lsn;
-    }
   }
 }
 

@@ -83,11 +83,10 @@ struct PersistentRestoreStats {
   size_t entries_recovered = 0;   // journal entries considered
   size_t restored = 0;            // frames re-attached to the cache
   size_t dropped_beyond_horizon = 0;  // LSN > WAL durable horizon: dropped
-  size_t dropped_verification = 0;    // header/checksum/page-id check failed
+  // Header/checksum/page-id check failed, clean entry not matching its disk
+  // copy, or dirty entry the last completed checkpoint drained.
+  size_t dropped_verification = 0;
   size_t reseeded = 0;            // superseded dirty images copied to disk
-  // Redo must start no later than this to roll re-attached dirty frames'
-  // disk copies forward (kInvalidLsn when no dirty frame was restored).
-  Lsn min_dirty_lsn = kInvalidLsn;
 };
 
 // The SSD manager of Figure 1: the component this paper contributes.
@@ -208,15 +207,20 @@ class SsdManager {
   // stale or absent. Returns false when the manager does not support (or
   // was not configured for) persistence.
   //
-  // `max_update_lsn` (per-page highest durable update LSN) splits verified
-  // entries three ways:
-  //   * not superseded            -> restored into the cache (dirty stays
-  //     dirty; the cleaner resumes), covered through its LSN;
-  //   * superseded + dirty        -> its content is copied to the disk once
-  //     (seeding the redo base), covered through its LSN, not cached;
-  //   * superseded + clean        -> the disk already has it; covered only.
-  // `covered_lsn` receives, per page, the LSN up to which redo may skip
-  // update records entirely.
+  // `max_update_lsn` is the per-page highest update LSN of the retained
+  // durable log, which starts at the last completed checkpoint; no older
+  // history is needed, since that checkpoint wrote every page to disk, LC's
+  // dirty SSD frames included. With it and the disk copy, verified entries
+  // split four ways, in this order:
+  //   * clean, disk copy not intact at exactly its LSN -> dropped;
+  //   * dirty, no retained record of its LSN (the checkpoint drained it)
+  //                               -> dropped, no disk write;
+  //   * a newer retained update   -> superseded: not cached; a dirty image
+  //     is copied over an older disk copy (seeding the redo base);
+  //   * otherwise                 -> restored (dirty stays dirty; the
+  //     cleaner resumes).
+  // `covered_lsn` receives, per superseded or restored page, the LSN up to
+  // which redo may skip update records entirely.
   virtual bool RecoverPersistentState(
       Lsn horizon, IoContext& ctx,
       const std::unordered_map<PageId, Lsn>* max_update_lsn = nullptr,

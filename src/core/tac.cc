@@ -17,12 +17,10 @@ constexpr Time kAdmissionDelay = Micros(200);
 
 TacCache::TacCache(StorageDevice* ssd_device, DiskManager* disk,
                    const SsdCacheOptions& options, SimExecutor* executor,
-                   uint64_t db_pages, int extent_pages)
+                   uint64_t db_pages)
     : SsdCacheBase(ssd_device, disk, options, executor,
-                   /*temperature_key=*/true),
-      extent_pages_(extent_pages) {
-  TURBOBP_CHECK(extent_pages > 0);
-  const uint64_t extents = db_pages / static_cast<uint64_t>(extent_pages) + 1;
+                   /*temperature_key=*/true) {
+  const uint64_t extents = db_pages / kExtentPages + 1;
   temperatures_ = std::make_unique<std::atomic<double>[]>(extents);
 }
 
@@ -32,8 +30,7 @@ void TacCache::OnBufferPoolMiss(PageId pid, AccessKind kind, IoContext& ctx) {
   const Time ssd_us = ssd_device_->EstimateReadTime(kind);
   const double saved_ms =
       std::max<double>(0.0, static_cast<double>(disk_us - ssd_us) / 1000.0);
-  std::atomic<double>& t =
-      temperatures_[pid / static_cast<PageId>(extent_pages_)];
+  std::atomic<double>& t = temperatures_[pid / kExtentPages];
   double cur = t.load(std::memory_order_relaxed);
   while (!t.compare_exchange_weak(cur, cur + saved_ms,
                                   std::memory_order_relaxed)) {

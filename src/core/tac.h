@@ -36,7 +36,10 @@ class TacCache : public SsdCacheBase {
  public:
   TacCache(StorageDevice* ssd_device, DiskManager* disk,
            const SsdCacheOptions& options, SimExecutor* executor,
-           uint64_t db_pages, int extent_pages = 32);
+           uint64_t db_pages);
+
+  // Pages per temperature extent.
+  static constexpr PageId kExtentPages = 32;
 
   SsdDesign design() const override { return SsdDesign::kTac; }
 
@@ -52,8 +55,7 @@ class TacCache : public SsdCacheBase {
   Time LatchBusyUntil(PageId pid, Time now) override;
 
   double ExtentTemperature(PageId pid) const {
-    return temperatures_[pid / static_cast<PageId>(extent_pages_)].load(
-        std::memory_order_relaxed);
+    return temperatures_[pid / kExtentPages].load(std::memory_order_relaxed);
   }
   // SSD frames wasted on logically-invalid pages (Section 2.5 ablation).
   int64_t wasted_frames() const { return invalid_frames_.load(); }
@@ -65,7 +67,6 @@ class TacCache : public SsdCacheBase {
   int32_t PickVictim(Partition& part) override;
 
  private:
-  int extent_pages_;
   // Per-extent temperatures, accrued concurrently by every client's miss
   // path; CAS-added, read relaxed (a slightly stale read only shifts an
   // admission decision by one access, which the policy tolerates).

@@ -33,8 +33,7 @@ std::unique_ptr<SsdManager> BuildSsdManager(const SystemConfig& config,
                                                  executor);
     case SsdDesign::kTac:
       return std::make_unique<TacCache>(ssd_device, disk, opts, executor,
-                                        config.db_pages,
-                                        config.tac_extent_pages);
+                                        config.db_pages);
     default:
       return std::make_unique<NoSsdManager>();
   }
@@ -83,14 +82,7 @@ DbSystem::DbSystem(const SystemConfig& config)
       buffer_pool_(std::make_unique<BufferPool>(
           config_.bp_options, &disk_manager_, &log_, ssd_manager_.get())),
       checkpoint_(std::make_unique<CheckpointManager>(
-          buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {
-  if (config_.persistent_ssd_cache) {
-    // Recover scans the full durable log to judge restored SSD frames;
-    // checkpoint-driven WAL prefix truncation would hide updates older than
-    // the last checkpoint from that scan.
-    checkpoint_->set_wal_truncation(false);
-  }
-}
+          buffer_pool_.get(), ssd_manager_.get(), &log_, &executor_)) {}
 
 void DbSystem::Crash() {
   // The engine's submission queue is volatile: queued-but-unissued requests
@@ -114,16 +106,16 @@ void DbSystem::Crash() {
 
 RecoveryStats DbSystem::Recover(IoContext& ctx,
                                 PersistentRestoreStats* restore) {
-  // Prune the torn log tail FIRST: the durable horizon used to judge SSD
-  // frames must already exclude records that did not survive the crash
-  // (otherwise a frame could be admitted against an LSN that is about to be
-  // truncated away). The redo pass repeats the call idempotently.
+  // Cut the torn log tail FIRST (per-record checksums find the first record
+  // a crash mid-flush damaged; no client was told it was durable): the
+  // durable horizon that judges SSD frames must already exclude it, or a
+  // frame could be admitted against an LSN that is about to be cut away.
   const size_t truncated = log_.TruncateTornTail();
   PersistentRestoreStats pstats;
   std::unordered_map<PageId, Lsn> covered;
   if (config_.persistent_ssd_cache) {
-    // Per-page highest durable update LSN: proves whether a recovered frame
-    // is still the newest version of its page (in-memory log scan, no I/O).
+    // Per-page highest retained durable update LSN (in-memory log scan, no
+    // I/O); the log is retained from the last completed checkpoint on.
     std::unordered_map<PageId, Lsn> max_update_lsn;
     for (const LogRecordView rec : log_.records_for_recovery()) {
       if (!log_.IsDurable(rec.lsn)) break;
@@ -135,12 +127,10 @@ RecoveryStats DbSystem::Recover(IoContext& ctx,
                                          &max_update_lsn, &covered, &pstats);
   }
   // Records covered by a restored SSD copy are skipped (the SSD already
-  // holds them; the cleaner moves them to disk later), so the extended redo
-  // horizon (back to the oldest restored dirty frame) costs a log scan, not
-  // disk I/O.
+  // holds them; the cleaner moves them to disk later).
   RecoveryManager recovery(&disk_manager_, &log_);
-  RecoveryStats stats = recovery.Recover(ctx, pstats.min_dirty_lsn, &covered);
-  stats.records_truncated += static_cast<int64_t>(truncated);
+  RecoveryStats stats = recovery.Recover(ctx, &covered);
+  stats.records_truncated = static_cast<int64_t>(truncated);
   if (restore != nullptr) *restore = pstats;
   return stats;
 }

@@ -70,7 +70,6 @@ struct SystemConfig {
   uint64_t log_device_pages = 1 << 20;
   SsdCacheOptions ssd_options;     // tau/mu/N/alpha/lambda (Table 2)
   BufferPool::Options bp_options;  // page_bytes/num_frames overwritten
-  int tac_extent_pages = 32;
   // Persistent SSD cache: the SSD device is enlarged by the metadata
   // journal region and the cache journals its buffer table there, so
   // DbSystem::Recover re-attaches the surviving SSD contents (warm restart)

@@ -30,7 +30,9 @@ struct CheckpointStats {
 // page in the main-memory buffer pool is flushed to disk — and, under the
 // LC design, every dirty page in the SSD buffer pool as well, which is why
 // checkpoint dips are deepest for LC (Figures 6 and 9). Recovery then only
-// needs to redo the log tail after the last completed checkpoint.
+// needs to redo the log tail after the last completed checkpoint, so in
+// every mode a completed checkpoint releases the buffered log records below
+// its begin-LSN: the WAL's memory is bounded by the checkpoint interval.
 class CheckpointManager {
  public:
   CheckpointManager(BufferPool* pool, SsdManager* ssd, LogManager* log,
@@ -52,16 +54,6 @@ class CheckpointManager {
   // whose end record is durable).
   const std::vector<Lsn>& completed() const { return completed_; }
 
-  // WAL in-memory prefix truncation: after a checkpoint completes, buffered
-  // log records below its begin-LSN (all durable by the checkpoint's commit
-  // edge) are released — recovery never replays below the last completed
-  // checkpoint, so retaining them only grows memory without bound on long
-  // threaded soaks. Default on; DbSystem turns it off for the persistent
-  // SSD cache, whose warm restart scans the full durable log to build the
-  // per-page max-update-LSN map that judges restored frames.
-  void set_wal_truncation(bool on) { wal_truncation_ = on; }
-  bool wal_truncation() const { return wal_truncation_; }
-
   // Negative-test backdoor (crash harness): deliberately SKIP the LC
   // SSD-dirty drain while still writing the end-checkpoint record — the
   // WAL-compliance bug the torture harness must be able to catch. Never set
@@ -79,7 +71,6 @@ class CheckpointManager {
   LogManager* log_;
   SimExecutor* executor_;
   bool periodic_ = false;
-  bool wal_truncation_ = true;
   bool skip_ssd_flush_for_test_ = false;
   CheckpointStats stats_;
   std::vector<Lsn> completed_;

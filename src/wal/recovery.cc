@@ -36,26 +36,10 @@ Lsn RecoveryManager::FindRedoStart() const {
 }
 
 RecoveryStats RecoveryManager::Recover(
-    IoContext& ctx, Lsn redo_start_override,
-    const std::unordered_map<PageId, Lsn>* covered_by_ssd) {
+    IoContext& ctx, const std::unordered_map<PageId, Lsn>* covered_by_ssd) {
   RecoveryStats stats;
   const Time start = ctx.now;
-  // Torn-tail hardening: a crash mid-flush can leave the final log block
-  // partially written. Per-record checksums find the first damaged record
-  // and the log is truncated there — those records were never acknowledged
-  // durable to any client, so dropping them is the correct recovery.
-  stats.records_truncated = static_cast<int64_t>(log_->TruncateTornTail());
   stats.redo_start_lsn = FindRedoStart();
-  // The override can only move redo EARLIER. kInvalidLsn from FindRedoStart
-  // means "no completed checkpoint: scan from the very beginning" — the
-  // earliest possible start, which no override may narrow. (A restored-SSD
-  // min-dirty LSN replacing it would skip the log prefix that rebuilds
-  // pages whose SSD copies were dropped at restore verification.)
-  if (redo_start_override != kInvalidLsn &&
-      stats.redo_start_lsn != kInvalidLsn &&
-      redo_start_override < stats.redo_start_lsn) {
-    stats.redo_start_lsn = redo_start_override;
-  }
 
   const uint32_t page_bytes = disk_->page_bytes();
 

@@ -24,12 +24,13 @@ struct RecoveryStats {
 // Redo-only restart recovery (ARIES redo pass over physiological records).
 //
 // After a crash the buffer pool is discarded. The sharp checkpoint
-// guarantees the disk is current as of the last completed checkpoint,
-// except for pages whose newest copy is a dirty frame on a persistent SSD
-// cache that survived the crash; this pass replays the durable log tail,
-// applying each update record whose LSN is newer than the on-disk page LSN
-// and skipping the records a re-attached SSD copy already contains
-// (DbSystem::Recover wires the two together).
+// guarantees the disk is current as of the last completed checkpoint — LC's
+// dirty SSD frames included, since a checkpoint that completes has drained
+// them — so this pass replays the durable log from that checkpoint, applying
+// each update record whose LSN is newer than the on-disk page LSN and
+// skipping the records a re-attached persistent-cache SSD copy already
+// contains (DbSystem::Recover wires the two together, after cutting the
+// torn log tail).
 class RecoveryManager {
  public:
   RecoveryManager(DiskManager* disk, LogManager* log);
@@ -44,13 +45,11 @@ class RecoveryManager {
   // the prefetched images. Page writes stay synchronous, preserving the
   // per-record "recovery/redo-apply" idempotence edge.
   //
-  // `redo_start_override` forces an earlier redo start (re-attached dirty
-  // SSD frames may carry updates that predate the last checkpoint).
   // `covered_by_ssd` maps pages to the LSN up to which a restored SSD copy
   // already contains all updates: redo skips those records entirely (no
   // disk I/O), which is what makes a warm restart's recovery fast.
   RecoveryStats Recover(
-      IoContext& ctx, Lsn redo_start_override = kInvalidLsn,
+      IoContext& ctx,
       const std::unordered_map<PageId, Lsn>* covered_by_ssd = nullptr);
 
  private:

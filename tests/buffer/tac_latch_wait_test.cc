@@ -38,8 +38,7 @@ TEST(TacLatchWaitTest, OnlyClientsTouchingTheBusyPagePay) {
   sopts.num_frames = 32;
   sopts.num_partitions = 2;
   sopts.throttle_queue_limit = 1000;
-  TacCache cache(&ssd_dev, &disk, sopts, &executor, /*db_pages=*/4096,
-                 /*extent_pages=*/32);
+  TacCache cache(&ssd_dev, &disk, sopts, &executor, /*db_pages=*/4096);
   BufferPool::Options opts;
   opts.num_frames = 16;
   opts.page_bytes = kPage;
@@ -69,7 +68,7 @@ TEST(TacLatchWaitTest, OnlyClientsTouchingTheBusyPagePay) {
   ctx_b.executor = &executor;
   ctx_b.now = t0;
   pool.FetchPage(kBusy, AccessKind::kRandom, ctx_b);
-  const Time expected_b = busy_until - (t0 + opts.hit_cpu);
+  const Time expected_b = busy_until - (t0 + BufferPool::kHitCpu);
   EXPECT_EQ(ctx_b.latch_wait, expected_b);
   EXPECT_EQ(ctx_b.now, busy_until);
 
@@ -77,7 +76,7 @@ TEST(TacLatchWaitTest, OnlyClientsTouchingTheBusyPagePay) {
   ctx_c.executor = &executor;
   ctx_c.now = t0 + Micros(3);
   pool.FetchPage(kBusy, AccessKind::kRandom, ctx_c);
-  const Time expected_c = busy_until - (t0 + Micros(3) + opts.hit_cpu);
+  const Time expected_c = busy_until - (t0 + Micros(3) + BufferPool::kHitCpu);
   EXPECT_EQ(ctx_c.latch_wait, expected_c);
 
   // Client D touches a different page inside the window: no charge.

@@ -69,7 +69,7 @@ class CopyStateTest : public ::testing::TestWithParam<SsdDesign> {
         break;
       case SsdDesign::kTac:
         ssd_ = std::make_unique<TacCache>(ssd_dev_.get(), disk_.get(), opts,
-                                          executor_.get(), kNumPages, 8);
+                                          executor_.get(), kNumPages);
         break;
       default:
         FAIL();

@@ -222,6 +222,39 @@ TEST_F(RestartExtensionTest, StaleDirtyEntryCannotRollBackCheckpointedUpdate) {
   VerifyShadowThroughPool(rctx);
 }
 
+// The clean twin of the test above. The log is truncated at every completed
+// checkpoint, so once a second checkpoint has passed, the updates that made
+// the stale clean entries stale are gone from the log; only the newer disk
+// copy still tells. A clean entry must therefore match its disk copy's LSN
+// exactly, or a restored frame would serve the pre-update image.
+TEST_F(RestartExtensionTest, StaleCleanEntryCannotShadowCheckpointedUpdate) {
+  IoContext ctx = system_->MakeContext();
+  Rng rng(7);
+  Churn(300, ctx, rng);
+  system_->checkpoint().RunCheckpoint(ctx);
+  auto& cache = static_cast<SsdCacheBase&>(system_->ssd_manager());
+  ASSERT_TRUE(cache.journal()->Maintain(ctx, /*force=*/true).ok());
+  std::vector<PageId> clean_pages;
+  for (const auto& e : cache.SnapshotForCheckpoint()) {
+    if (!e.dirty) clean_pages.push_back(e.page_id);
+  }
+  ASSERT_FALSE(clean_pages.empty());
+  cache.Degrade(ctx);
+  ASSERT_TRUE(cache.degraded());
+  for (const PageId p : clean_pages) {
+    CommittedWrite(p, static_cast<uint8_t>(shadow_[p] ^ 0xFF), ctx);
+    system_->executor().RunUntil(ctx.now);
+    ctx.now = std::max(ctx.now, system_->executor().now());
+  }
+  system_->checkpoint().RunCheckpoint(ctx);
+  ASSERT_EQ(system_->checkpoint().stats().checkpoints_failed, 0);
+  PersistentRestoreStats restore;
+  IoContext rctx;
+  CrashAndRecover(&restore, rctx);
+  EXPECT_TRUE(restore.journal_valid);
+  VerifyShadowThroughPool(rctx);
+}
+
 // A journal entry and a CRC-valid frame header may agree on a page id the
 // database does not have. The restore must drop such an entry (the frame
 // scan already rejects such headers) rather than index the page.

@@ -33,8 +33,7 @@ class TacTest : public ::testing::Test {
     opts_.aggressive_fill = 0.75;
     opts_.throttle_queue_limit = 1000;
     cache_ = std::make_unique<TacCache>(ssd_dev_.get(), disk_.get(), opts_,
-                                        executor_.get(), /*db_pages=*/4096,
-                                        /*extent_pages=*/32);
+                                        executor_.get(), /*db_pages=*/4096);
   }
 
   std::vector<uint8_t> MakePage(PageId pid, uint8_t fill) {
@@ -166,7 +165,7 @@ TEST_F(TacTest, ColdExtentsLoseToHotOnesWhenFull) {
   // Single partition so the cache fills completely and deterministically.
   opts_.num_partitions = 1;
   cache_ = std::make_unique<TacCache>(ssd_dev_.get(), disk_.get(), opts_,
-                                      executor_.get(), 4096, 32);
+                                      executor_.get(), 4096);
   // Fill the cache (fill phase admits everything).
   for (PageId p = 0; p < 16; ++p) MissAndRead(p * 32);  // one extent each
   executor_->RunUntilIdle();
@@ -193,7 +192,7 @@ TEST_F(TacTest, SsdHitsDoNotSaveAColdExtentFromReplacement) {
   // keep a hotter extent out.
   opts_.num_partitions = 1;
   cache_ = std::make_unique<TacCache>(ssd_dev_.get(), disk_.get(), opts_,
-                                      executor_.get(), 4096, 32);
+                                      executor_.get(), 4096);
   // Extent 0 is heated once, every other cached extent twice.
   const PageId cold = 0;
   MissAndRead(cold);

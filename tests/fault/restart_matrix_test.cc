@@ -157,10 +157,11 @@ TEST(RestartTortureMatrixTest, LazyCleaningWarmMatrixAcrossCrashPoints) {
 // Warm restart before ANY completed checkpoint: redo has no checkpoint to
 // start from and must scan the whole log. A dropped journal entry (e.g. a
 // frame whose header fails verification) then forces redo to rebuild that
-// page from its disk base — the log prefix below the restored frames'
-// min-dirty LSN must NOT be skipped, or the dropped page silently loses its
-// earliest committed updates. (Regression: the redo-start override used to
-// replace the "no checkpoint: scan from the beginning" sentinel.)
+// page from its disk base — the log prefix below the restored frames' LSNs
+// must NOT be skipped, or the dropped page silently loses its earliest
+// committed updates. (Regression: a redo start taken from the oldest
+// restored dirty frame once replaced the "no checkpoint: scan from the
+// beginning" sentinel.)
 TEST(RestartTortureMatrixTest, NoCheckpointWarmRestartCoversDroppedFrames) {
   if (!CrashPointsCompiledIn()) {
     GTEST_SKIP() << "built with TURBOBP_CRASH_POINTS=OFF";

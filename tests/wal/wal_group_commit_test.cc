@@ -9,9 +9,10 @@
 //  * Group commit: concurrent CommitForce callers are batched by a leader —
 //    followers park and the device sees far fewer writes than commits.
 //  * TruncatePrefix bounds the buffered log: after a checkpoint the records
-//    below its redo horizon are released, while recovery and the torn-tail
-//    scan still see every record that matters (they run on the retained
-//    suffix; the durable device bytes are untouched).
+//    below its redo horizon are released, in every mode (the persistent SSD
+//    cache included), while recovery and the torn-tail scan still see every
+//    record that matters (they run on the retained suffix; the durable
+//    device bytes are untouched).
 // Runs under TSan in CI (tsan-stress job).
 
 #include "wal/log_manager.h"
@@ -109,7 +110,11 @@ TEST(WalGroupCommitTest, LeaderBatchesFollowerFlushes) {
 
 // ------------------------------------------------------- truncation tests
 
-TEST(WalTruncationTest, CheckpointsBoundBufferedRecords) {
+// Runs once with a cold-restart SSD cache and once with the persistent one,
+// whose warm restart judges the journal against the same retained log.
+class WalTruncationModeTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(WalTruncationModeTest, CheckpointsBoundBufferedRecords) {
   // A full system running TPC-C with periodic checkpoints must not retain
   // the whole logical log in memory: each completed checkpoint releases the
   // buffered records below its redo horizon.
@@ -123,6 +128,7 @@ TEST(WalTruncationTest, CheckpointsBoundBufferedRecords) {
   config.bp_frames = config.db_pages / 4;
   config.ssd_frames = static_cast<int64_t>(config.db_pages / 2);
   config.design = SsdDesign::kLazyCleaning;
+  config.persistent_ssd_cache = GetParam();
   DbSystem system(config);
   Database db(&system);
   TpccWorkload::Populate(&db, tpcc);
@@ -180,6 +186,11 @@ TEST(WalTruncationTest, CheckpointsBoundBufferedRecords) {
   // Redo recovered every committed NewOrder's district bump.
   EXPECT_EQ(delta, workload.new_orders());
 }
+
+INSTANTIATE_TEST_SUITE_P(SsdCache, WalTruncationModeTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "persistent" : "cold";
+                         });
 
 TEST(WalTruncationTest, TruncateKeepsTornTailDetectionCorrect) {
   // Truncation drops only records at/below the redo horizon that are
