@@ -67,7 +67,6 @@ BufferPool::BufferPool(const Options& options, DiskManager* disk,
   if (ssd_ == nullptr) ssd_ = &fallback_ssd_;
   arena_.resize(options.num_frames * static_cast<size_t>(options.page_bytes));
   frames_ = std::make_unique<Frame[]>(options.num_frames);
-  frame_sync_ = std::make_unique<FrameSync[]>(options.num_frames);
   page_table_.assign(disk->num_pages(), -1);
 
   // Page-table/free-list shards: one per 16 frames, capped at 16 (small
@@ -135,64 +134,39 @@ void BufferPool::VerifyFrameChecksum(int32_t frame, PageId pid) const {
   Panic(__FILE__, __LINE__, "page checksum mismatch: stale or torn copy");
 }
 
-void BufferPool::BumpEpochAndNotify(int32_t frame) {
-  frames_[frame].io_epoch.fetch_add(1, std::memory_order_seq_cst);
-  FrameSync& s = frame_sync_[frame];
-  if (s.waiters.load(std::memory_order_seq_cst) > 0) {
-    // The empty critical section orders the bump against a waiter that is
-    // between its predicate check and the sleep.
-    { TrackedLockGuard sync_lock(s.mu); }
-    s.cv.notify_all();
-  }
-}
-
-void BufferPool::NotifyAvail(Shard& sh) {
+void BufferPool::SettleLocked(Shard& sh) {
   ++sh.avail_signals;
-  if (sh.claim_waiters > 0) sh.avail_cv.notify_all();
+  if (sh.waiters > 0) sh.avail_cv.notify_all();
 }
 
-void BufferPool::WaitForFrame(int32_t frame, ShardLock& lock, IoContext& ctx,
-                              int* spins) {
-  Frame& f = frames_[frame];
-  const uint64_t epoch = f.io_epoch.load(std::memory_order_seq_cst);
-  const Time ready = f.ready_at;
-  lock.unlock();
+void BufferPool::AwaitSettleLocked(Shard& sh, ShardLock& lock) {
+  const int64_t seen = sh.avail_signals;
+  ++sh.waiters;
+  while (sh.avail_signals == seen) sh.avail_cv.wait(lock);
+  --sh.waiters;
+}
+
+void BufferPool::WaitForFrame(Shard& sh, int32_t frame, ShardLock& lock,
+                              IoContext& ctx, int* spins) {
   if (ctx.executor != nullptr) {
     // Sim mode: executor events run to completion, so an in-flight frame is
     // only observable across a client's own re-entry; waiting in virtual
     // time suffices. The spin guard catches a frame that never settles.
+    const Time ready = frames_[frame].ready_at;
+    lock.unlock();
     ctx.Wait(ready);
     if (++*spins > 1000) {
       Panic(__FILE__, __LINE__, "in-flight frame failed to settle (sim)");
     }
     return;
   }
-  FrameSync& s = frame_sync_[frame];
-  std::unique_lock sync_lock(s.mu);
-  s.waiters.fetch_add(1, std::memory_order_seq_cst);
-  s.cv.wait(sync_lock, [&f, epoch] {
-    return f.io_epoch.load(std::memory_order_seq_cst) != epoch;
-  });
-  s.waiters.fetch_sub(1, std::memory_order_relaxed);
+  AwaitSettleLocked(sh, lock);
+  lock.unlock();
 }
 
-void BufferPool::WaitWhileWriting(int32_t frame, ShardLock& lock) {
-  Frame& f = frames_[frame];
-  while (f.state.load(std::memory_order_relaxed) == FrameState::kWriting) {
-    // The epoch cannot move while we hold the shard latch (completions
-    // re-latch), so capturing it here cannot miss the wakeup.
-    const uint64_t epoch = f.io_epoch.load(std::memory_order_seq_cst);
-    lock.unlock();
-    FrameSync& s = frame_sync_[frame];
-    {
-      std::unique_lock sync_lock(s.mu);
-      s.waiters.fetch_add(1, std::memory_order_seq_cst);
-      s.cv.wait(sync_lock, [&f, epoch] {
-        return f.io_epoch.load(std::memory_order_seq_cst) != epoch;
-      });
-      s.waiters.fetch_sub(1, std::memory_order_relaxed);
-    }
-    lock.lock();
+void BufferPool::WaitWhileWriting(Shard& sh, int32_t frame, ShardLock& lock) {
+  while (frames_[frame].state == FrameState::kWriting) {
+    AwaitSettleLocked(sh, lock);
   }
 }
 
@@ -204,7 +178,7 @@ void BufferPool::ResetFrameLocked(Frame& f) {
   f.access_history[0] = f.access_history[1] = 0;
   f.touch_stamp = 0;
   f.ready_at = 0;
-  f.state.store(FrameState::kFree, std::memory_order_relaxed);
+  f.state = FrameState::kFree;
 }
 
 void BufferPool::ReleaseClaimedLocked(Shard& sh, int32_t frame) {
@@ -212,7 +186,7 @@ void BufferPool::ReleaseClaimedLocked(Shard& sh, int32_t frame) {
   sh.free_list.push_back(frame);
   free_frames_.fetch_add(1, std::memory_order_relaxed);
   --sh.transient;
-  NotifyAvail(sh);
+  SettleLocked(sh);
 }
 
 PageGuard BufferPool::FinishRead(int32_t frame, uint32_t pins, AccessKind kind,
@@ -220,8 +194,7 @@ PageGuard BufferPool::FinishRead(int32_t frame, uint32_t pins, AccessKind kind,
   Shard& sh = ShardOfFrame(frame);
   ShardLock lock = LockShard(sh);
   Frame& f = frames_[frame];
-  TURBOBP_DCHECK(f.state.load(std::memory_order_relaxed) ==
-                 FrameState::kReading);
+  TURBOBP_DCHECK(f.state == FrameState::kReading);
   TURBOBP_DCHECK(pins <= 1);
   f.dirty = false;
   f.pin_count = pins;
@@ -229,10 +202,9 @@ PageGuard BufferPool::FinishRead(int32_t frame, uint32_t pins, AccessKind kind,
   f.access_history[0] = f.access_history[1] = 0;
   Touch(f, ctx.now);
   f.ready_at = ctx.now;
-  f.state.store(FrameState::kResident, std::memory_order_relaxed);
+  f.state = FrameState::kResident;
   --sh.transient;
-  BumpEpochAndNotify(frame);
-  NotifyAvail(sh);
+  SettleLocked(sh);
   return pins > 0 ? PageGuard(this, frame) : PageGuard();
 }
 
@@ -245,8 +217,7 @@ void BufferPool::AbortRead(int32_t frame, PageId pid) {
   sh.free_list.push_back(frame);
   free_frames_.fetch_add(1, std::memory_order_relaxed);
   --sh.transient;
-  BumpEpochAndNotify(frame);
-  NotifyAvail(sh);
+  SettleLocked(sh);
 }
 
 void BufferPool::InstallExpandedPage(PageId p, const uint8_t* bytes,
@@ -269,7 +240,7 @@ void BufferPool::InstallExpandedPage(PageId p, const uint8_t* bytes,
   f.kind = AccessKind::kSequential;
   f.access_history[0] = f.access_history[1] = 0;
   Touch(f, ctx.now);
-  f.state.store(FrameState::kResident, std::memory_order_relaxed);
+  f.state = FrameState::kResident;
   MapLocked(sh, p, fr);
   StatCounters::Bump(counters_.expanded_pages);
 }
@@ -286,12 +257,12 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
     const int32_t found = Slot(sh, pid);
     if (found >= 0) {
       Frame& f = frames_[found];
-      const FrameState st = f.state.load(std::memory_order_relaxed);
+      const FrameState st = f.state;
       if (st == FrameState::kReading || st == FrameState::kEvicting) {
-        // Another client's I/O is in flight on this page: wait on that
-        // frame alone (the shard stays available to everyone else), then
-        // re-probe — the page is resident after a read, gone after an evict.
-        WaitForFrame(found, lock, ctx, &spins);
+        // Another client's I/O is in flight on this page: wait for it to
+        // settle (the shard latch is released while asleep), then re-probe
+        // — the page is resident after a read, gone after an evict.
+        WaitForFrame(sh, found, lock, ctx, &spins);
         continue;
       }
       Touch(f, ctx.now);
@@ -325,7 +296,7 @@ PageGuard BufferPool::FetchPage(PageId pid, AccessKind kind, IoContext& ctx,
     f.page_id = pid;
     f.kind = kind;
     f.ready_at = ctx.now;
-    f.state.store(FrameState::kReading, std::memory_order_relaxed);
+    f.state = FrameState::kReading;
     MapLocked(sh, pid, frame);
     // Commitment point: this call is a miss (counted exactly once even if
     // the claim retried above).
@@ -404,9 +375,9 @@ PageGuard BufferPool::NewPage(PageId pid, PageType type, IoContext& ctx) {
     int32_t frame = Slot(sh, pid);
     if (frame >= 0) {
       Frame& stale = frames_[frame];
-      const FrameState st = stale.state.load(std::memory_order_relaxed);
+      const FrameState st = stale.state;
       if (st != FrameState::kResident) {
-        WaitForFrame(frame, lock, ctx, &spins);
+        WaitForFrame(sh, frame, lock, ctx, &spins);
         continue;
       }
       // A speculative multi-page read (expansion / read-ahead) may have
@@ -434,11 +405,10 @@ PageGuard BufferPool::NewPage(PageId pid, PageType type, IoContext& ctx) {
     // stale SSD copy of a recycled page id must go.
     f.dirty = true;
     f.pin_count = 1;
-    f.state.store(FrameState::kResident, std::memory_order_relaxed);
+    f.state = FrameState::kResident;
     --sh.transient;
     MapLocked(sh, pid, frame);
-    BumpEpochAndNotify(frame);
-    NotifyAvail(sh);
+    SettleLocked(sh);
     ssd_->OnPageDirtied(pid);
     return PageGuard(this, frame);
   }
@@ -474,7 +444,7 @@ void BufferPool::PrefetchRange(PageId first, uint32_t n, IoContext& ctx) {
     f.page_id = p;
     f.kind = AccessKind::kSequential;
     f.ready_at = ctx.now;
-    f.state.store(FrameState::kReading, std::memory_order_relaxed);
+    f.state = FrameState::kReading;
     MapLocked(sh, p, fr);
     lock.unlock();
     pages.push_back({p, fr, ssd_->Probe(p)});
@@ -594,7 +564,7 @@ int32_t BufferPool::ClaimFrame(Shard& sh, ShardLock& lock, IoContext& ctx,
         const Frame& f = frames_[e.frame];
         if (f.page_id == kInvalidPageId || f.pin_count > 0 ||
             f.touch_stamp != e.stamp ||
-            f.state.load(std::memory_order_relaxed) != FrameState::kResident) {
+            f.state != FrameState::kResident) {
           continue;  // stale or unusable entry
         }
         EvictFrameLocked(sh, lock, e.frame, ctx);
@@ -615,9 +585,9 @@ int32_t BufferPool::ClaimFrame(Shard& sh, ShardLock& lock, IoContext& ctx,
     if (sh.transient == 0 && ++fruitless > 50) {
       Panic(__FILE__, __LINE__, "buffer pool exhausted: all frames pinned");
     }
-    ++sh.claim_waiters;
+    ++sh.waiters;
     sh.avail_cv.wait_for(lock, std::chrono::milliseconds(20));
-    --sh.claim_waiters;
+    --sh.waiters;
     if (sh.avail_signals != signals_before || sh.transient > 0) fruitless = 0;
   }
 }
@@ -627,7 +597,7 @@ void BufferPool::RebuildVictimHeapLocked(Shard& sh) {
   for (int32_t i = sh.frame_begin; i < sh.frame_end; ++i) {
     const Frame& f = frames_[i];
     if (f.page_id == kInvalidPageId || f.pin_count > 0 ||
-        f.state.load(std::memory_order_relaxed) != FrameState::kResident) {
+        f.state != FrameState::kResident) {
       continue;
     }
     sh.victim_heap.push(VictimEntry{VictimKey(f), f.touch_stamp, i});
@@ -644,7 +614,7 @@ void BufferPool::EvictFrameLocked(Shard& sh, ShardLock& lock, int32_t frame,
   // The page-table entry stays mapped while the I/O runs: a concurrent
   // fetch of this page waits on the frame instead of reading a disk copy
   // that is not durable yet.
-  f.state.store(FrameState::kEvicting, std::memory_order_relaxed);
+  f.state = FrameState::kEvicting;
   ++sh.transient;
   lock.unlock();
 
@@ -690,8 +660,8 @@ void BufferPool::EvictFrameLocked(Shard& sh, ShardLock& lock, int32_t frame,
   UnmapLocked(sh, pid);
   ResetFrameLocked(f);
   // The frame stays claimed by the caller (still counted in sh.transient);
-  // only same-page waiters are woken, to re-probe and miss.
-  BumpEpochAndNotify(frame);
+  // waiters on the evicted page re-probe and miss.
+  SettleLocked(sh);
 }
 
 Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
@@ -753,10 +723,9 @@ Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
         ShardLock lock = LockShard(sh);
         Frame& f = frames_[sp->frame];
         f.dirty = false;
-        f.state.store(FrameState::kResident, std::memory_order_relaxed);
+        f.state = FrameState::kResident;
         --sh.transient;
-        BumpEpochAndNotify(sp->frame);
-        NotifyAvail(sh);
+        SettleLocked(sh);
       };
       engine.Submit(req, io_ctx);
     }
@@ -771,8 +740,7 @@ Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
         ShardLock lock = LockShard(sh);
         Frame& f = frames_[i];
         if (f.page_id == kInvalidPageId || !f.dirty ||
-            f.state.load(std::memory_order_relaxed) !=
-                FrameState::kResident) {
+            f.state != FrameState::kResident) {
           continue;  // empty, clean, or already being written elsewhere
         }
         Staged s;
@@ -782,7 +750,7 @@ Time BufferPool::FlushAllDirty(IoContext& ctx, bool for_checkpoint) {
         // kWriting until the completion callback settles the frame: still
         // readable and pinnable, but not evictable, not re-dirtyable
         // (MarkDirty waits), and not double-flushable.
-        f.state.store(FrameState::kWriting, std::memory_order_relaxed);
+        f.state = FrameState::kWriting;
         ++sh.transient;
         // Seal the frame itself, not just the snapshot: the frame turns
         // clean when the write lands, and a clean frame must carry a valid
@@ -816,7 +784,7 @@ void BufferPool::Reset() {
       sh.free_list.push_back(i);
     }
     TURBOBP_CHECK(sh.mapped == 0);
-    NotifyAvail(sh);
+    SettleLocked(sh);
   }
   free_frames_.store(static_cast<int64_t>(options_.num_frames),
                      std::memory_order_relaxed);
@@ -828,7 +796,7 @@ void BufferPool::Unpin(int32_t frame) {
   ShardLock lock = LockShard(sh);
   Frame& f = frames_[frame];
   TURBOBP_DCHECK(f.pin_count > 0);
-  if (--f.pin_count == 0) NotifyAvail(sh);
+  if (--f.pin_count == 0) SettleLocked(sh);
 }
 
 Lsn BufferPool::LogUpdateInternal(int32_t frame, uint64_t txn_id,
@@ -836,7 +804,7 @@ Lsn BufferPool::LogUpdateInternal(int32_t frame, uint64_t txn_id,
   TURBOBP_CHECK(log_ != nullptr);
   Shard& sh = ShardOfFrame(frame);
   ShardLock lock = LockShard(sh);
-  WaitWhileWriting(frame, lock);
+  WaitWhileWriting(sh, frame, lock);
   Frame& f = frames_[frame];
   TURBOBP_CHECK(offset + len <= options_.page_bytes);
   const Lsn lsn = log_->AppendUpdate(
@@ -849,7 +817,7 @@ Lsn BufferPool::LogUpdateInternal(int32_t frame, uint64_t txn_id,
 void BufferPool::MarkDirtyInternal(int32_t frame, Lsn lsn) {
   Shard& sh = ShardOfFrame(frame);
   ShardLock lock = LockShard(sh);
-  WaitWhileWriting(frame, lock);
+  WaitWhileWriting(sh, frame, lock);
   MarkDirtyLocked(frame, lsn);
 }
 

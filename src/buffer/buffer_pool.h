@@ -104,7 +104,8 @@ struct BufferPoolStats {
 // Each frame carries a small I/O state machine (kFree -> kReading ->
 // kResident -> kEvicting); a fetch that misses publishes a kReading
 // placeholder, drops the shard latch for the SSD/disk read, then re-latches
-// to install. A second fetch of an in-flight page waits on that frame alone.
+// to install. A second fetch of an in-flight page sleeps on its shard's
+// wait channel until a frame of the shard settles, then re-probes.
 class BufferPool {
  public:
   struct Options {
@@ -191,9 +192,8 @@ class BufferPool {
   friend class InvariantAuditor;  // read-only structural audits (src/debug)
   friend struct AuditAccess;      // corruption injection in auditor tests
 
-  // Per-frame I/O state machine (DESIGN.md §10). Transitions happen under
-  // the owning shard's latch; waiters additionally read the value in their
-  // wake predicates without it, hence the atomic.
+  // Per-frame I/O state machine (DESIGN.md §10). Read and written only under
+  // the owning shard's latch.
   enum class FrameState : uint8_t {
     kFree = 0,      // no page: on the free list, or claimed by an operation
     kReading = 1,   // placeholder published, device read in flight
@@ -211,22 +211,9 @@ class BufferPool {
     Time access_history[2] = {0, 0};  // [0]=last, [1]=previous (LRU-2)
     uint64_t touch_stamp = 0;         // bumped per access; victim-heap tag
     int32_t shard = 0;                // owning shard (fixed at construction)
-    std::atomic<FrameState> state{FrameState::kFree};
-    // Bumped on every settle (install, abort, eviction/flush completion);
-    // never reset, so a waiter that captured the old value always wakes.
-    std::atomic<uint64_t> io_epoch{0};
+    FrameState state = FrameState::kFree;
     // Sim mode: projected completion time of the in-flight I/O.
     Time ready_at = 0;
-  };
-
-  // Sleep/wake channel for real-thread waiters on one frame's in-flight I/O.
-  struct FrameSync {
-    TrackedMutex<LatchClass::kBufferFrame> mu;
-    std::condition_variable_any cv;
-    // Lets the completion path skip the lock+notify when nobody waits (the
-    // overwhelmingly common case). seq_cst pairs with the waiter's
-    // register-then-recheck, so a wakeup can never be missed.
-    std::atomic<int32_t> waiters{0};
   };
 
   struct VictimEntry {
@@ -246,12 +233,13 @@ class BufferPool {
   // entries of the pages p with ShardOf(p) == this shard.
   struct Shard {
     mutable ShardMutex mu;
-    // Signalled whenever a frame of this shard may have become claimable
-    // (unpin to zero, in-flight I/O settled, frame freed).
+    // The shard's one wait channel (real threads only): signalled by every
+    // settle of one of its frames (in-flight I/O done, frame freed, unpin to
+    // zero). Claimers and frame waiters both sleep here under mu.
     std::condition_variable_any avail_cv;
-    // Bumped per signal; filters spurious wakes.
+    // Bumped per settle; a waiter's predicate is "the counter moved".
     int64_t avail_signals TURBOBP_GUARDED_BY(mu) = 0;
-    int64_t claim_waiters TURBOBP_GUARDED_BY(mu) = 0;
+    int64_t waiters TURBOBP_GUARDED_BY(mu) = 0;
     // Frames mid-I/O (kReading/kWriting/kEvicting) plus frames claimed off
     // the free list or out of an eviction but not yet installed/released.
     int64_t transient TURBOBP_GUARDED_BY(mu) = 0;
@@ -351,13 +339,12 @@ class BufferPool {
 
   // Returns a claimed frame to the free list (lost a publish race).
   void ReleaseClaimedLocked(Shard& sh, int32_t frame) TURBOBP_REQUIRES(sh.mu);
-  // Resets a frame's metadata (keeps io_epoch; leaves state kFree).
+  // Resets a frame's metadata (leaves state kFree).
   void ResetFrameLocked(Frame& f);
 
   // Completion half of the read protocol, shared by FetchPage (one pin) and
   // read-ahead (no pin): re-latches, flips the kReading placeholder to
-  // kResident with `pins` pins and access `kind`, and wakes frame- and
-  // claim-waiters. Returns the pin as a guard (invalid when `pins` is 0).
+  // kResident with `pins` pins and access `kind`, and settles the shard. Returns the pin as a guard (invalid when `pins` is 0).
   PageGuard FinishRead(int32_t frame, uint32_t pins, AccessKind kind,
                        IoContext& ctx) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   // Failure half: unmaps the placeholder and frees the frame.
@@ -368,22 +355,27 @@ class BufferPool {
   void InstallExpandedPage(PageId p, const uint8_t* bytes, IoContext& ctx)
       TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
-  // Blocks until the frame's io_epoch moves past the value captured under
-  // the shard latch; returns with `lock` released. `spins` guards against a
-  // sim-mode frame that never settles (impossible unless an event yields
-  // mid-I/O, which the executor's run-to-completion model forbids).
-  void WaitForFrame(int32_t frame, ShardLock& lock, IoContext& ctx,
+  // Waits out the in-flight I/O on `frame` of shard `sh`; returns with
+  // `lock` released, and the caller re-probes. Sim mode waits in virtual
+  // time until the frame's ready_at; `spins` guards against a frame that
+  // never settles (impossible unless an event yields mid-I/O, which the
+  // executor's run-to-completion model forbids). Real threads sleep until
+  // the next settle of the shard.
+  void WaitForFrame(Shard& sh, int32_t frame, ShardLock& lock, IoContext& ctx,
                     int* spins) TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
   // Blocks while the frame is mid-flush (kWriting). Re-dirtying a page
   // under an in-flight checkpoint write must wait for the write so the
   // flushed image is a clean prefix of the page's history.
-  void WaitWhileWriting(int32_t frame, ShardLock& lock)
+  void WaitWhileWriting(Shard& sh, int32_t frame, ShardLock& lock)
       TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
-
-  // Wakes frame-waiters after a settle (shard latch held).
-  void BumpEpochAndNotify(int32_t frame);
-  // Wakes ClaimFrame waiters of `sh` (shard latch held).
-  void NotifyAvail(Shard& sh) TURBOBP_REQUIRES(sh.mu);
+  // Sleeps on the shard's channel until the next settle. The settle runs
+  // under the same latch the predicate is checked under, so no wakeup can
+  // be missed.
+  static void AwaitSettleLocked(Shard& sh, ShardLock& lock)
+      TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
+  // Publishes a settle of one of the shard's frames: bumps avail_signals
+  // and wakes the shard's waiters, if any.
+  static void SettleLocked(Shard& sh) TURBOBP_REQUIRES(sh.mu);
 
   // Panics unless the frame holds an intact copy of `pid` (a never-
   // formatted page passes). Run once on every disk read; SSD hits arrive
@@ -407,7 +399,6 @@ class BufferPool {
 
   std::vector<uint8_t> arena_;
   std::unique_ptr<Frame[]> frames_;
-  std::unique_ptr<FrameSync[]> frame_sync_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // Direct page table, one entry per disk page (see Slot). Sized once.
   mutable std::vector<int32_t> page_table_;

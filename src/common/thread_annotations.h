@@ -6,7 +6,7 @@
 // below as a *capability*; latch-guarded fields say which latch guards them
 // with TURBOBP_GUARDED_BY, internal `*Locked` helpers carry TURBOBP_REQUIRES
 // contracts, and the blocking storage entry points carry TURBOBP_EXCLUDES
-// over the pool/frame latch tokens — so `clang -Wthread-safety -Werror`
+// over the pool shard latch token — so `clang -Wthread-safety -Werror`
 // rejects a device read under a shard latch at compile time, before any
 // schedule runs.
 //
@@ -51,8 +51,8 @@
 
 // The function may only be called while NOT holding the listed capabilities.
 // This is the compile-time form of the PR-5 invariant: every blocking
-// StorageDevice / DiskManager entry point EXCLUDES the buffer-pool shard and
-// frame latch tokens, so "device I/O under a pool latch" is a build error.
+// StorageDevice / DiskManager entry point EXCLUDES the buffer-pool shard
+// latch token, so "device I/O under a pool latch" is a build error.
 #define TURBOBP_EXCLUDES(...) \
   TURBOBP_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 

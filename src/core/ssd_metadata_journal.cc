@@ -101,6 +101,7 @@ bool ValidatePage(std::span<const uint8_t> buf, JournalPageHeader* out,
   if (h.magic != kJournalMagic) return false;
   if (h.used > buf.size() - kHeaderBytes) return false;
   if (h.crc != PageCrc(h, buf.data() + kHeaderBytes)) return false;
+  if (h.epoch > SsdMetadataJournal::kMaxEpoch) return false;
   if (want_kind != 0 && h.kind != want_kind) return false;
   if (check_epoch && h.epoch != want_epoch) return false;
   if (check_index && h.index != want_index) return false;
@@ -251,6 +252,20 @@ IoResult SsdMetadataJournal::CompactNow(IoContext& ctx) {
     // epoch supersedes every stale page, even in its own half.
     epoch_ = ScanMaxEpoch(ctx);
   }
+  IoResult res{ctx.now, Status::Ok()};
+  std::vector<uint8_t> buf(page_bytes_);
+  if (epoch_ >= kMaxEpoch) {
+    // Only a forged or corrupt page can carry the last epoch, and no later
+    // epoch could supersede it: zero the region and restart the sequence.
+    // That costs the journal's warmth, never correctness.
+    for (uint32_t i = 0; i < region_pages_; ++i) {
+      const IoResult w = WriteRegionPage(region_base_ + i, buf, ctx,
+                                         "ssd/journal-compact");
+      if (!w.ok()) return w;
+      res.time = std::max(res.time, w.time);
+    }
+    epoch_ = 0;
+  }
   const uint64_t next = epoch_ + 1;
   const int half = static_cast<int>(next % 2);
   std::vector<Record> snap;
@@ -260,8 +275,6 @@ IoResult SsdMetadataJournal::CompactNow(IoContext& ctx) {
   }
   const uint32_t pages = static_cast<uint32_t>(
       (snap.size() + records_per_page_ - 1) / records_per_page_);
-  IoResult res{ctx.now, Status::Ok()};
-  std::vector<uint8_t> buf(page_bytes_);
   for (uint32_t i = 0; i < pages; ++i) {
     const size_t off = static_cast<size_t>(i) * records_per_page_;
     const size_t n = std::min<size_t>(records_per_page_, snap.size() - off);

@@ -50,9 +50,15 @@ namespace turbobp {
 // Epochs are strictly increasing across restarts: open/recover scans the
 // region for the highest epoch on any CRC-valid page, so a new epoch can
 // never collide with stale-but-valid pages from an earlier incarnation of
-// the same half.
+// the same half. A page whose epoch exceeds kMaxEpoch is invalid, so a
+// forged epoch cannot wrap the sequence; a valid page at kMaxEpoch itself
+// makes the next compaction zero the region and restart at epoch 1.
 class SsdMetadataJournal {
  public:
+  // Largest epoch a valid page may carry. Real epochs grow by one per
+  // compaction and never come near it.
+  static constexpr uint64_t kMaxEpoch = uint64_t{1} << 48;
+
   // One buffer-table mutation (or one snapshot row: a put).
   struct Record {
     uint64_t frame = 0;  // absolute device page holding the frame

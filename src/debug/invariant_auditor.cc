@@ -68,7 +68,7 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
                        std::to_string(frame) + " which holds page " +
                        PidStr(f.page_id));
       }
-      if (f.state.load(std::memory_order_relaxed) == FrameState::kFree) {
+      if (f.state == FrameState::kFree) {
         report.Add("pool.page_table", where + "page " + PidStr(pid) +
                                           " maps to frame " +
                                           std::to_string(frame) +
@@ -79,7 +79,7 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
     // Frame -> page table direction, state hygiene, empty-frame hygiene.
     for (int32_t i = sh.frame_begin; i < sh.frame_end; ++i) {
       const auto& f = pool.frames_[i];
-      const FrameState st = f.state.load(std::memory_order_relaxed);
+      const FrameState st = f.state;
       if (st == FrameState::kReading || st == FrameState::kWriting ||
           st == FrameState::kEvicting) {
         ++in_flight;
@@ -153,7 +153,7 @@ AuditReport InvariantAuditor::AuditBufferPool(const BufferPool& pool) {
                                          " is on the free list but holds page " +
                                          PidStr(f.page_id));
       }
-      if (f.state.load(std::memory_order_relaxed) != FrameState::kFree) {
+      if (f.state != FrameState::kFree) {
         report.Add("pool.free_list",
                    "frame " + std::to_string(frame) +
                        " is on the free list but its state is not free");

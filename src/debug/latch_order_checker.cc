@@ -21,7 +21,6 @@ thread_local HeldStack tls_held;
 const char* ToString(LatchClass c) {
   switch (c) {
     case LatchClass::kBufferPool: return "buffer-pool";
-    case LatchClass::kBufferFrame: return "buffer-frame";
     case LatchClass::kWal: return "wal";
     case LatchClass::kSsdPartition: return "ssd-partition";
     case LatchClass::kSsdJournal: return "ssd-journal";

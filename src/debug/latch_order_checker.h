@@ -39,21 +39,20 @@ namespace turbobp {
 // one row per class, fields separated by whitespace)
 //   rank  class          owner-latch                      device-io
 //   0     kBufferPool    BufferPool::Shard::mu            forbidden
-//   1     kBufferFrame   BufferPool::FrameSync::mu        forbidden
-//   2     kWal           LogManager::mu_                  forbidden
-//   3     kSsdPartition  SsdCacheBase::Partition::mu      allowed
-//   4     kSsdJournal    SsdMetadataJournal::mu_          forbidden
-//   5     kSsdFault      SsdCacheBase::fault_mu_          forbidden
-//   6     kSsdScrub      SsdCacheBase::scrub_mu_          forbidden
-//   7     kTacLatch      TacCache::latch_mu_              forbidden
-//   8     kIoEngine      AsyncIoEngine::mu_               forbidden
-//   9     kFaultDevice   FaultInjectingDevice::mu_        allowed
-//   10    kDevice        storage-device internals         allowed
+//   1     kWal           LogManager::mu_                  forbidden
+//   2     kSsdPartition  SsdCacheBase::Partition::mu      allowed
+//   3     kSsdJournal    SsdMetadataJournal::mu_          forbidden
+//   4     kSsdFault      SsdCacheBase::fault_mu_          forbidden
+//   5     kSsdScrub      SsdCacheBase::scrub_mu_          forbidden
+//   6     kTacLatch      TacCache::latch_mu_              forbidden
+//   7     kIoEngine      AsyncIoEngine::mu_               forbidden
+//   8     kFaultDevice   FaultInjectingDevice::mu_        allowed
+//   9     kDevice        storage-device internals         allowed
 // END LATCH ORDER SPEC
 //
 // Notes per class: kBufferPool is outermost and never held across device
-// I/O; kBufferFrame is the per-frame wait channel for in-flight I/O (taken
-// briefly to sleep on / signal a frame); kWal covers buffered appends (which
+// I/O (claimers and waiters for a frame's in-flight I/O sleep on the
+// shard's condvar under this latch); kWal covers buffered appends (which
 // may run under a pool shard latch, kBufferPool -> kWal) and the
 // group-commit protocol state — the flush leader computes its batch under
 // mu_ but performs the log-device write with mu_ *released* (followers park
@@ -74,18 +73,17 @@ namespace turbobp {
 // (MemDevice internals).
 enum class LatchClass : uint8_t {
   kBufferPool = 0,
-  kBufferFrame = 1,
-  kWal = 2,
-  kSsdPartition = 3,
-  kSsdJournal = 4,
-  kSsdFault = 5,
-  kSsdScrub = 6,
-  kTacLatch = 7,
-  kIoEngine = 8,
-  kFaultDevice = 9,
-  kDevice = 10,
+  kWal = 1,
+  kSsdPartition = 2,
+  kSsdJournal = 3,
+  kSsdFault = 4,
+  kSsdScrub = 5,
+  kTacLatch = 6,
+  kIoEngine = 7,
+  kFaultDevice = 8,
+  kDevice = 9,
 };
-inline constexpr int kNumLatchClasses = 11;
+inline constexpr int kNumLatchClasses = 10;
 
 const char* ToString(LatchClass c);
 

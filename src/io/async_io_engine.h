@@ -78,7 +78,7 @@ struct AsyncIoRequest {
 // Latch discipline (LATCH ORDER SPEC, class kIoEngine, device-io forbidden):
 // the engine mutex guards only queue state. It is dropped before every
 // device call and before every completion callback. Submit/Reap/Drain must
-// not be called while holding a buffer-pool shard/frame latch or an SSD
+// not be called while holding a buffer-pool shard latch or an SSD
 // partition latch — enforced by the TSA EXCLUDES contracts below and the
 // async-io rule of tools/analysis/static_check.py.
 //
@@ -128,7 +128,6 @@ class AsyncIoEngine {
   // (io-under-latch + async-io rules) covers these paths instead.
   IoToken Submit(const AsyncIoRequest& req, IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
                        TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
           TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -137,7 +136,6 @@ class AsyncIoEngine {
   // device-completion order.
   std::vector<IoCompletion> Reap(int max, Time deadline, IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
                        TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
           TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 
@@ -149,7 +147,6 @@ class AsyncIoEngine {
   // would wait on its own delivery.
   Time Drain(IoContext& ctx)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
                        TURBOBP_LATCH_CAP(LatchClass::kSsdPartition))
           TURBOBP_NO_THREAD_SAFETY_ANALYSIS;
 

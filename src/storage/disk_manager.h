@@ -42,23 +42,20 @@ class DiskManager {
   AsyncIoEngine& io_engine() { return engine_; }
 
   // Blocking single-page read; advances ctx.now to completion. Like every
-  // entry point below: never call with a buffer-pool shard or frame latch
-  // held (the PR-5 invariant, enforced by the EXCLUDES contracts).
+  // entry point below: never call with a buffer-pool shard latch held (the
+  // PR-5 invariant, enforced by the EXCLUDES contracts).
   Status ReadPage(PageId pid, std::span<uint8_t> out, IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
+      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool));
 
   // Blocking contiguous multi-page read as one device request.
   Status ReadPages(PageId first, uint32_t n, std::span<uint8_t> out,
                    IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
+      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool));
 
   // Asynchronous write: consumes device time, returns the completion time,
   // leaves ctx.now unchanged.
   IoResult WritePage(PageId pid, std::span<const uint8_t> data, IoContext& ctx)
-      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame));
+      TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool));
 
   Time EstimateReadTime(AccessKind kind) const {
     return data_->EstimateReadTime(kind);

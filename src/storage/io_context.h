@@ -29,12 +29,12 @@ struct IoContext {
   // Real-thread mode (executor == nullptr): when > 0, Wait() additionally
   // sleeps the OS thread for (completion - now) * real_sleep_scale of wall
   // time, so modelled device latency manifests as real latency and thread
-  // scale-out measures genuine overlap. Deltas below real_sleep_min_us are
+  // scale-out measures genuine overlap. Deltas below kRealSleepMinUs are
   // skipped — an OS sleep costs ~50us of scheduler quantum anyway, and
   // sub-quantum sleeps would only add noise. 0 (the default) preserves the
   // pure virtual-time semantics everywhere else.
+  static constexpr Time kRealSleepMinUs = 50;
   double real_sleep_scale = 0.0;
-  int64_t real_sleep_min_us = 50;
 
   // Wall anchor for real-thread mode: virtual time `wall_base` corresponds
   // to steady-clock instant `wall_epoch`. When set, Wait() only sleeps the
@@ -72,7 +72,7 @@ struct IoContext {
         if (completion <= wall) return;
         delta = completion - wall;
       }
-      if (delta >= real_sleep_min_us) {
+      if (delta >= kRealSleepMinUs) {
         std::this_thread::sleep_for(std::chrono::microseconds(
             static_cast<int64_t>(static_cast<double>(delta) *
                                  real_sleep_scale)));

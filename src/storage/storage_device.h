@@ -65,7 +65,6 @@ class StorageDevice {
   virtual IoResult Read(uint64_t first_page, uint32_t num_pages,
                         std::span<uint8_t> out, Time now, bool charge = true)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
                        TURBOBP_LATCH_CAP(LatchClass::kWal)) = 0;
 
   // Writes `num_pages` pages starting at `first_page` as one device request.
@@ -75,7 +74,6 @@ class StorageDevice {
                          std::span<const uint8_t> data, Time now,
                          bool charge = true)
       TURBOBP_EXCLUDES(TURBOBP_LATCH_CAP(LatchClass::kBufferPool),
-                       TURBOBP_LATCH_CAP(LatchClass::kBufferFrame),
                        TURBOBP_LATCH_CAP(LatchClass::kWal)) = 0;
 
   // Number of requests pending (issued but not completed) at `now`. The SSD

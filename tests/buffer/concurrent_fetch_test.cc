@@ -2,12 +2,14 @@
 // misses publishes a kReading placeholder and drops the shard latch for the
 // device read, so concurrent fetches of the same page must coalesce onto one
 // device request, a fetch racing an eviction of its page must wait for the
-// eviction's durable write, and pins must never block a checkpoint flush.
+// eviction's durable write, pins must never block a checkpoint flush, and
+// re-dirtying a page mid-flush must wait for the flush's write.
 // A sleep-decorated device widens the I/O windows so the interleavings of
 // interest actually happen; run under TSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cstring>
@@ -47,11 +49,15 @@ class SleepyDevice : public StorageDevice {
   IoResult Write(uint64_t first_page, uint32_t num_pages,
                  std::span<const uint8_t> data, Time now,
                  bool charge = true) override {
+    writes_started.fetch_add(1, std::memory_order_release);
     if (charge && write_sleep_.count() > 0) {
       std::this_thread::sleep_for(write_sleep_);
     }
     return base_->Write(first_page, num_pages, data, now, charge);
   }
+
+  // Bumped on entry to every Write, before its sleep.
+  std::atomic<int> writes_started{0};
 
  private:
   StorageDevice* base_;
@@ -196,6 +202,63 @@ TEST(ConcurrentFetchTest, PinHeldAcrossFlushAllDirty) {
   EXPECT_TRUE(pinned.valid());
   EXPECT_EQ(pinned.view().payload()[1], 3);
   pinned.Release();
+}
+
+// LogUpdate on a page whose checkpoint write is in flight (kWriting) must
+// wait for the write to land: the flushed image stays the pre-update one,
+// and the update leaves the page dirty again instead of being wiped clean by
+// the flush's completion.
+TEST(ConcurrentFetchTest, LogUpdateWaitsForInFlightFlush) {
+  MemDevice mem(kPages, kPage);
+  SynthesizeFormatted(mem);
+  SleepyDevice slow(&mem, std::chrono::microseconds(0),
+                    std::chrono::milliseconds(20));
+  MemDevice log_dev(1 << 10, kPage);
+  DiskManager disk(&slow);
+  LogManager log(&log_dev);
+  BufferPool::Options opts;
+  opts.num_frames = 16;
+  opts.page_bytes = kPage;
+  opts.expand_reads_until_warm = false;
+  BufferPool pool(opts, &disk, &log, nullptr);
+
+  constexpr PageId kTarget = 3;
+  constexpr uint32_t kByte = kPageHeaderSize + 1;
+  IoContext ctx;
+  Lsn old_lsn = kInvalidLsn;
+  for (PageId p = 0; p < 8; ++p) {
+    PageGuard g = pool.FetchPage(p, AccessKind::kRandom, ctx);
+    g.view().payload()[1] = static_cast<uint8_t>(p);
+    const Lsn lsn = g.LogUpdate(/*txn_id=*/1, kByte, 1);
+    if (p == kTarget) old_lsn = lsn;
+  }
+  PageGuard target = pool.FetchPage(kTarget, AccessKind::kRandom, ctx);
+
+  std::thread flusher([&] {
+    IoContext fctx;
+    pool.FlushAllDirty(fctx, /*for_checkpoint=*/false);
+  });
+  // Every dirty frame is staged (kWriting) before the first write starts.
+  while (slow.writes_started.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  target.view().payload()[1] = 0x77;
+  const Lsn new_lsn = target.LogUpdate(/*txn_id=*/2, kByte, 1);
+  ASSERT_GT(new_lsn, old_lsn);
+
+  // LogUpdate returned only after the flush's write of the page landed, and
+  // that write carries the pre-update image.
+  std::vector<uint8_t> disk_copy(kPage);
+  ASSERT_TRUE(mem.Read(kTarget, 1, disk_copy, 0, /*charge=*/false).status.ok());
+  const PageView on_disk(disk_copy.data(), kPage);
+  EXPECT_EQ(on_disk.header().lsn, old_lsn);
+  EXPECT_EQ(on_disk.payload()[1], kTarget);
+  flusher.join();
+
+  EXPECT_EQ(target.view().header().lsn, new_lsn);
+  EXPECT_EQ(target.view().payload()[1], 0x77);
+  EXPECT_EQ(pool.DirtyFrameCount(), 1);
+  target.Release();
 }
 
 // All but one frame pinned: every claim in the storm funnels through the

@@ -1,16 +1,21 @@
 // Unit tests for the SSD metadata journal: round-trip through
 // snapshot+append, torn-tail truncation at the exact CRC-invalid page,
-// epoch supersession and fallback when the newest seal is destroyed, and a
+// epoch supersession and fallback when the newest seal is destroyed, a
 // full-region single-page corruption sweep — no damaged page may ever make
-// recovery invent a mapping that was never staged.
+// recovery invent a mapping that was never staged — and a CRC-resealed
+// mutation fuzz, after which a compaction must still be what the next
+// recovery adopts.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
 
+#include "common/checksum.h"
+#include "common/rng.h"
 #include "core/ssd_metadata_journal.h"
 #include "fault/fault_injecting_device.h"
 #include "fault/fault_plan.h"
@@ -26,6 +31,24 @@ constexpr int64_t kFrames = 32;
 // it invalidates the page while magic/kind/epoch stay readable (the torn
 // shape recovery classifies as a tail, not as end-of-log residue).
 constexpr uint32_t kCrcOffset = 24;
+// The rest of the header: magic u32 @0, kind u32 @4, epoch u64 @8,
+// index u32 @16, used u32 @20, crc u32 @24, reserved u32 @28.
+constexpr uint32_t kHeaderBytes = 32;
+constexpr uint32_t kEpochOffset = 8;
+constexpr uint32_t kUsedOffset = 20;
+
+// Recomputes a journal page's CRC over its header and `used` payload bytes,
+// so a mutated page passes the checksum and reaches the parser. A page whose
+// `used` overruns the page cannot be made valid and is left as it is.
+void Reseal(std::vector<uint8_t>& page) {
+  uint32_t used = 0;
+  std::memcpy(&used, page.data() + kUsedOffset, 4);
+  if (used > kPageBytes - kHeaderBytes) return;
+  std::memset(page.data() + kCrcOffset, 0, 4);
+  const uint32_t crc = Crc32c(page.data() + kHeaderBytes, used,
+                              Crc32c(page.data(), kHeaderBytes));
+  std::memcpy(page.data() + kCrcOffset, &crc, 4);
+}
 
 class SsdMetadataJournalTest : public ::testing::Test {
  protected:
@@ -64,6 +87,20 @@ class SsdMetadataJournalTest : public ::testing::Test {
   void Erase(SsdMetadataJournal& j, uint64_t frame) {
     table_.erase(frame);
     j.NoteErase(frame);
+  }
+
+  // Writes a CRC-valid seal page for `epoch` naming no snapshot pages.
+  void PlantSeal(uint64_t page, uint64_t epoch) {
+    std::vector<uint8_t> buf(kPageBytes, 0);
+    const uint32_t magic = 0x4A504254;  // "TBPJ"
+    const uint32_t kind = 1;            // seal
+    const uint32_t used = 16;           // the seal payload, all zero
+    std::memcpy(buf.data(), &magic, 4);
+    std::memcpy(buf.data() + 4, &kind, 4);
+    std::memcpy(buf.data() + kEpochOffset, &epoch, 8);
+    std::memcpy(buf.data() + kUsedOffset, &used, 4);
+    Reseal(buf);
+    dev_.Write(page, 1, buf, /*now=*/0, /*charge=*/false);
   }
 
   void FlipByte(uint64_t page, uint32_t offset) {
@@ -311,6 +348,121 @@ TEST_F(SsdMetadataJournalTest, FaultInjectedWriteAndRecoverySweep) {
   // The sweep must have actually exercised both fault kinds.
   EXPECT_GT(total_torn, 0);
   EXPECT_GT(total_flips, 0);
+}
+
+// A CRC-valid seal can still carry a forged epoch. At 2^64-1 it must not be
+// adopted: the next compaction would seal epoch 0, which every later
+// recovery ranks below the forged seal, so the journal would be lost for
+// good. A valid page at kMaxEpoch itself (no later epoch could supersede it)
+// makes the compaction restart the sequence instead.
+TEST_F(SsdMetadataJournalTest, ForgedEpochDoesNotPoisonLaterCompactions) {
+  {
+    auto j = MakeJournal();
+    Put(*j, 0, 700, 90, false);
+    EXPECT_TRUE(j->Compact(ctx_).ok());  // epoch 1, half 1
+    Put(*j, 1, 701, 91, true);
+    EXPECT_TRUE(j->Compact(ctx_).ok());  // epoch 2, half 0
+  }
+  const auto pristine = dev_.SnapshotContent();
+  const auto pristine_table = table_;
+  struct Case {
+    uint64_t forged;
+    uint64_t adopted_first;   // epoch the first recovery adopts
+    uint64_t adopted_second;  // the compaction's epoch
+  };
+  constexpr uint64_t kMax = SsdMetadataJournal::kMaxEpoch;
+  for (const Case c : {Case{~uint64_t{0}, 2, 3}, Case{kMax + 1, 2, 3},
+                       Case{kMax, kMax, 1}}) {
+    dev_.RestoreContent(pristine);
+    table_ = pristine_table;
+    auto probe = MakeJournal();
+    PlantSeal(probe->SealPageOf(static_cast<int>(c.forged % 2)), c.forged);
+
+    auto j1 = MakeJournal();
+    const auto st1 = j1->Recover(ctx_);
+    EXPECT_TRUE(st1.valid) << c.forged;
+    EXPECT_EQ(st1.epoch, c.adopted_first) << c.forged;
+    Put(*j1, 2, 702, 92, false);
+    ASSERT_TRUE(j1->Compact(ctx_).ok()) << c.forged;
+
+    auto j2 = MakeJournal();
+    const auto st2 = j2->Recover(ctx_);
+    EXPECT_TRUE(st2.valid) << c.forged;
+    EXPECT_EQ(st2.epoch, c.adopted_second) << c.forged;
+    EXPECT_FALSE(st2.fell_back) << c.forged;
+    ExpectMatchesTable(st2, table_);
+  }
+}
+
+// Seeded byte-mutation fuzz over the whole region: header and record bytes
+// of 1-4 pages are overwritten and each page's CRC is recomputed, so the
+// parser, not the checksum, meets the damage; some mutations set an epoch
+// to the values around kMaxEpoch. Recovery may adopt anything the resealed
+// bytes say, but it must not crash, and a compaction after it must be what
+// the next recovery adopts: valid, no fallback, exactly the live table.
+TEST_F(SsdMetadataJournalTest, ResealedByteMutationFuzz) {
+  {
+    auto j = MakeJournal();
+    Put(*j, 0, 800, 60, false);
+    Put(*j, 1, 801, 61, true);
+    EXPECT_TRUE(j->Compact(ctx_).ok());
+    Put(*j, 2, 802, 62, false);
+    Put(*j, 1, 801, 70, false);
+    EXPECT_TRUE(j->Compact(ctx_).ok());
+    for (uint64_t f = 3; f < 3 + 2 * j->records_per_page(); ++f) {
+      Put(*j, f % kFrames, 810 + f, 80 + f, (f % 3) == 0);
+    }
+    EXPECT_TRUE(j->Maintain(ctx_, /*force=*/true).ok());
+  }
+  const auto pristine = dev_.SnapshotContent();
+  const auto pristine_table = table_;
+  constexpr uint64_t kMax = SsdMetadataJournal::kMaxEpoch;
+  const uint64_t special_epochs[] = {kMax - 1, kMax, kMax + 1, ~uint64_t{0}};
+  Rng rng(29);
+  std::vector<uint8_t> buf(kPageBytes);
+  for (int iter = 0; iter < 600; ++iter) {
+    dev_.RestoreContent(pristine);
+    table_ = pristine_table;
+    const uint64_t base = static_cast<uint64_t>(kFrames);
+    const uint64_t mutations = 1 + rng.Uniform(4);
+    for (uint64_t m = 0; m < mutations; ++m) {
+      const uint64_t page = base + rng.Uniform(region_pages_);
+      dev_.Read(page, 1, buf, /*now=*/0, /*charge=*/false);
+      const uint64_t what = rng.Uniform(8);
+      if (what == 0) {
+        const uint64_t e = special_epochs[rng.Uniform(4)];
+        std::memcpy(buf.data() + kEpochOffset, &e, 8);
+      } else if (what < 4) {
+        // A header byte other than the CRC (recomputed below).
+        uint64_t off = rng.Uniform(kHeaderBytes - 4);
+        if (off >= kCrcOffset) off += 4;
+        buf[off] = static_cast<uint8_t>(rng.Next());
+      } else {
+        buf[kHeaderBytes + rng.Uniform(kPageBytes - kHeaderBytes)] =
+            static_cast<uint8_t>(rng.Next());
+      }
+      Reseal(buf);
+      dev_.Write(page, 1, buf, /*now=*/0, /*charge=*/false);
+    }
+
+    auto j1 = MakeJournal();
+    (void)j1->Recover(ctx_);
+    // A mapping only the live table knows: the next recovery finds it only
+    // if it adopts this compaction's snapshot.
+    Put(*j1, kFrames - 1, 900 + static_cast<PageId>(iter), 1000 + iter,
+        (iter % 2) == 0);
+    ASSERT_TRUE(j1->Compact(ctx_).ok()) << "iter " << iter;
+
+    auto j2 = MakeJournal();
+    const auto st2 = j2->Recover(ctx_);
+    ASSERT_TRUE(st2.valid) << "iter " << iter;
+    EXPECT_FALSE(st2.fell_back) << "iter " << iter;
+    EXPECT_EQ(st2.append_records, 0u) << "iter " << iter;
+    ExpectMatchesTable(st2, table_);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "first failing iteration " << iter;
+    }
+  }
 }
 
 TEST_F(SsdMetadataJournalTest, RegionGeometryTilesTwoHalves) {

@@ -4,7 +4,7 @@
 // accessor, while a BufferPool shard latch or an SSD partition latch is
 // held. Engine completion callbacks re-enter the frame state machine and
 // take those latches on a fresh stack, so Submit/Reap/Drain under
-// kBufferPool / kBufferFrame / kSsdPartition deadlocks (DESIGN.md §12
+// kBufferPool / kSsdPartition deadlocks (DESIGN.md §12
 // completion-context rules). The checker must flag both engine calls;
 // ctest asserts a non-zero exit (WILL_FAIL). drain_under_latch.cc covers
 // the same rule through a bound engine reference.

@@ -13,7 +13,7 @@ applied over lock-scope nesting reconstructed from the source text:
   io-under-latch  No blocking device call (StorageDevice/DiskManager entry
                   points, WAL flushes, SSD frame I/O) while holding a latch
                   whose class the spec marks `forbidden` for device I/O
-                  (kBufferPool, kBufferFrame, kWal since group commit, ...
+                  (kBufferPool, kWal since group commit, ...
                   -- the PR-5 invariant). Classes marked `allowed`
                   (kSsdPartition, ...) cover I/O by design, not flagged.
   ioresult        Every call to an IoResult- or Status-returning I/O
@@ -30,7 +30,7 @@ applied over lock-scope nesting reconstructed from the source text:
   async-io        No AsyncIoEngine entry point (Submit/Reap/Drain on an
                   engine-like receiver, including an accessor call such
                   as disk_->io_engine().Submit) while holding a
-                  kBufferPool, kBufferFrame, kSsdPartition or kSsdScrub
+                  kBufferPool, kSsdPartition or kSsdScrub
                   latch: completion callbacks re-enter the frame state
                   machine and take those latches on a fresh stack, so an
                   engine call under one deadlocks (DESIGN.md §12
@@ -95,7 +95,7 @@ DURABLE_WRITE_ANY_RECV = {"WritePage", "WriteFrame"}
 
 # AsyncIoEngine entry points (async-io rule): only through an engine-like
 # receiver, so unrelated Submit/Drain methods on other objects are not
-# flagged. Completion callbacks take pool shard/frame and SSD partition
+# flagged. Completion callbacks take pool shard and SSD partition
 # latches, so calling into the engine while holding one deadlocks; the
 # scrub cursor latch is a declared leaf, so an engine call under it is a
 # discipline breach even though no callback takes it.
@@ -105,8 +105,7 @@ ENGINE_CALLS = ("Submit", "Reap", "Drain")
 ENGINE_CALL_RE = re.compile(
     r"\b(\w*engine\w*)\s*(?:\(\s*\))?\s*(?:->|\.)\s*(" +
     "|".join(ENGINE_CALLS) + r")\s*\(")
-ENGINE_FORBIDDEN = {"kBufferPool", "kBufferFrame", "kSsdPartition",
-                    "kSsdScrub"}
+ENGINE_FORBIDDEN = {"kBufferPool", "kSsdPartition", "kSsdScrub"}
 
 # Leaf latches (latch-order rule): nothing — whatever its rank — may be
 # acquired while one of these is held. The scrubber's patrol-cursor latch
